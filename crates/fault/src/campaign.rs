@@ -116,8 +116,9 @@ pub struct CampaignConfig {
     /// fast path — fault semantics are bit-identical across backends
     /// (the simt equivalence suite pins this, injection plans and
     /// watchdog included), so campaigns get the fast engine without
-    /// any behavioural difference; set `GGPU_ACCEL=scalar` to force
-    /// the reference engine when bisecting.
+    /// any behavioural difference; set the backend to
+    /// [`ggpu_simt::AccelBackend::Scalar`] to run the reference engine
+    /// when bisecting.
     pub sim: SimtConfig,
     /// Livelock watchdog for every trial (and hang classification).
     pub watchdog: ggpu_simt::WatchdogConfig,

@@ -50,8 +50,5 @@ pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};
 pub use flow::{
     check_banking, check_division, check_pipeline, check_supervision, DegradationStep, FlowSnapshot,
 };
-pub use kernel::{
-    verify_asm, verify_program, verify_program_classic, verify_program_with_ctx,
-    DIVERGENCE_DEPTH_LIMIT,
-};
+pub use kernel::{verify_asm, verify_program, verify_program_with_ctx, DIVERGENCE_DEPTH_LIMIT};
 pub use shipped::{verify_shipped, SHIPPED_KERNELS};

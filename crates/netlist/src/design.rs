@@ -22,10 +22,10 @@ static MODULE_COPIES: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative number of design clones (`clone` and `deep_clone`) in
 /// this process. Monotone; meant for *relative* measurements in
-/// single-threaded harnesses (the DSE benches assert the journal path
-/// performs zero clones per candidate). Parallel test runners share
-/// the counter, so tests should only assert deltas `>=` an expected
-/// floor, never exact values.
+/// single-threaded harnesses (the planner's `clone_budget` test
+/// asserts the journal path performs zero clones per candidate).
+/// Parallel test runners share the counter, so tests should only
+/// assert deltas `>=` an expected floor, never exact values.
 pub fn design_clone_count() -> u64 {
     DESIGN_CLONES.load(Ordering::Relaxed)
 }
@@ -107,8 +107,7 @@ impl PartialEq for Design {
 impl fmt::Debug for Design {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // `Arc<Module>` renders exactly like `Module`, so this output
-        // (and the legacy Debug-string fingerprint derived from it) is
-        // byte-identical to the pre-CoW representation.
+        // is byte-identical to the pre-CoW representation.
         f.debug_struct("Design")
             .field("name", &self.name)
             .field("modules", &self.modules)
@@ -284,8 +283,8 @@ impl Design {
     /// A clone that forces a deep copy of every module, reproducing
     /// the pre-copy-on-write clone cost (O(design size)). The content
     /// is identical to [`Design::clone`]; only the sharing differs.
-    /// Retained as the tracked benchmark baseline for the transform
-    /// journal — production code should never need it.
+    /// Retained for the clone-replay oracle the transform journal is
+    /// tested against — production code should never need it.
     pub fn deep_clone(&self) -> Self {
         DESIGN_CLONES.fetch_add(1, Ordering::Relaxed);
         MODULE_COPIES.fetch_add(self.modules.len() as u64, Ordering::Relaxed);

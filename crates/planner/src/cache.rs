@@ -31,7 +31,6 @@ use ggpu_tech::Tech;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -62,29 +61,6 @@ pub fn fingerprint(design: &Design, tech: &Tech) -> u64 {
     h.finish()
 }
 
-/// Streams formatted output straight into a hasher; the legacy
-/// fingerprint path uses it so it never materializes the full debug
-/// string.
-struct HashWriter<'a, H: Hasher>(&'a mut H);
-
-impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// The seed flow's fingerprint: hash the `Debug` rendering of the full
-/// design and technology. O(design size) per call — every cell group,
-/// macro and path is formatted and fed through the hasher — which is
-/// exactly the cost [`fingerprint`] eliminates. Retained (behind
-/// [`StaCache::legacy`]) as the tracked benchmark baseline.
-fn legacy_fingerprint(design: &Design, tech: &Tech) -> u64 {
-    let mut h = DefaultHasher::new();
-    let _ = write!(HashWriter(&mut h), "{design:?}|{tech:?}");
-    h.finish()
-}
-
 /// How a [`StaCache`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -95,12 +71,6 @@ enum Mode {
     /// [`ggpu_sta::analyze`] / [`ggpu_sta::max_frequency`], with no
     /// fingerprinting at all. Used by the equivalence property tests.
     Passthrough,
-    /// The pre-incremental engine, bit-for-bit: design-level tables
-    /// keyed by [`legacy_fingerprint`] (Debug-string hashing), misses
-    /// recomputed by the full engine. Used as `sta_bench`'s tracked
-    /// baseline so the benchmark compares against what the flow
-    /// actually shipped before.
-    Legacy,
 }
 
 /// A thread-safe memo table for STA results, backed by the
@@ -160,14 +130,6 @@ impl StaCache {
         Self::with_mode(Mode::Passthrough)
     }
 
-    /// The pre-incremental engine, reproduced exactly: design-level
-    /// memo keyed by a Debug-string fingerprint of the whole design,
-    /// misses recomputed from scratch, no module-level reuse. Kept as
-    /// the tracked baseline `sta_bench` measures against.
-    pub fn legacy() -> Self {
-        Self::with_mode(Mode::Legacy)
-    }
-
     /// `true` if this cache memoizes (i.e. was not built with
     /// [`StaCache::passthrough`]).
     pub fn is_caching(&self) -> bool {
@@ -181,24 +143,18 @@ impl StaCache {
     /// Propagates [`StaError`] from the underlying analysis (errors
     /// are not cached).
     pub fn max_frequency(&self, design: &Design, tech: &Tech) -> Result<Option<Mhz>, StaError> {
-        let key = match self.mode {
-            Mode::Passthrough => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return max_frequency(design, tech);
-            }
-            Mode::Incremental => fingerprint(design, tech),
-            Mode::Legacy => legacy_fingerprint(design, tech),
-        };
+        if self.mode == Mode::Passthrough {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return max_frequency(design, tech);
+        }
+        let key = fingerprint(design, tech);
         let shard = &self.fmax[(key as usize) & (SHARDS - 1)];
         if let Some(v) = shard.read().expect("sta cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = match self.mode {
-            Mode::Incremental => self.engine.max_frequency(design, tech)?,
-            _ => max_frequency(design, tech)?,
-        };
+        let v = self.engine.max_frequency(design, tech)?;
         shard.write().expect("sta cache poisoned").insert(key, v);
         Ok(v)
     }
@@ -246,14 +202,11 @@ impl StaCache {
         clock: Mhz,
         dirty: Option<&[ModuleId]>,
     ) -> Result<TimingReport, StaError> {
-        let fp = match self.mode {
-            Mode::Passthrough => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return analyze(design, tech, clock);
-            }
-            Mode::Incremental => fingerprint(design, tech),
-            Mode::Legacy => legacy_fingerprint(design, tech),
-        };
+        if self.mode == Mode::Passthrough {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return analyze(design, tech, clock);
+        }
+        let fp = fingerprint(design, tech);
         let key = (fp, clock.value().to_bits());
         let shard = &self.reports[(fp as usize) & (SHARDS - 1)];
         if let Some(r) = shard.read().expect("sta cache poisoned").get(&key) {
@@ -261,12 +214,9 @@ impl StaCache {
             return Ok(r.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = match (self.mode, dirty) {
-            (Mode::Incremental, Some(dirty)) => {
-                self.engine.analyze_delta(design, tech, clock, dirty)?
-            }
-            (Mode::Incremental, None) => self.engine.analyze(design, tech, clock)?,
-            _ => analyze(design, tech, clock)?,
+        let r = match dirty {
+            Some(dirty) => self.engine.analyze_delta(design, tech, clock, dirty)?,
+            None => self.engine.analyze(design, tech, clock)?,
         };
         shard
             .write()
@@ -392,28 +342,6 @@ mod tests {
             cached.analyze(&design, &tech, Mhz::new(590.0)).unwrap(),
             reference.analyze(&design, &tech, Mhz::new(590.0)).unwrap()
         );
-    }
-
-    #[test]
-    fn legacy_mode_matches_incremental_and_still_memoizes() {
-        let tech = Tech::l65();
-        let design = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
-        let legacy = StaCache::legacy();
-        assert!(legacy.is_caching());
-        let modern = StaCache::new();
-        assert_eq!(
-            legacy.max_frequency(&design, &tech).unwrap(),
-            modern.max_frequency(&design, &tech).unwrap()
-        );
-        assert_eq!(
-            legacy.analyze(&design, &tech, Mhz::new(590.0)).unwrap(),
-            modern.analyze(&design, &tech, Mhz::new(590.0)).unwrap()
-        );
-        // Legacy memoizes at the design level (that part of the seed
-        // behaviour is preserved), it just pays the Debug-string
-        // fingerprint and full recompute.
-        let _ = legacy.max_frequency(&design, &tech).unwrap();
-        assert_eq!(legacy.hits(), 1);
     }
 
     #[test]

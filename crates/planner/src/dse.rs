@@ -5,11 +5,11 @@
 //! *transaction* on a [`crate::TransformJournal`], not a clone: the
 //! greedy loop keeps one copy-on-write working design and moves it
 //! between candidate plans by reverting/re-applying only the actions
-//! that differ. The pre-journal clone-and-replay path is retained
-//! verbatim ([`apply_plan_clone_dirty`], [`optimize_for_clone`]) as
-//! the reference the equivalence property suite and `sta_bench`
-//! compare against — the two paths are bit-identical in plans,
-//! designs, traces and fmax bit patterns.
+//! that differ. The pre-journal clone-and-replay step is retained
+//! verbatim ([`apply_plan_clone_dirty`]) as the test-only oracle:
+//! the equivalence property suite checks that every journal rebase
+//! equals the clone replay of the same plan, which makes the greedy
+//! loop bit-identical either way.
 
 use crate::cache::StaCache;
 use crate::journal::TransformJournal;
@@ -259,9 +259,9 @@ pub fn apply_plan_dirty(
 
 /// The pre-journal [`apply_plan_dirty`], retained verbatim: deep-clone
 /// the base, then replay the plan step by step with the flow lints
-/// checked per step. The equivalence property suite and `sta_bench`
-/// replay plans through this path and through the journal and assert
-/// the results are bit-identical.
+/// checked per step. The test-only oracle: the equivalence property
+/// suite replays plans through this path and through the journal and
+/// asserts the results are bit-identical.
 ///
 /// # Errors
 ///
@@ -437,8 +437,8 @@ pub fn optimize_for_with(
 
 /// [`optimize_for_with`] under an explicit [`DseConfig`].
 ///
-/// `beam_width == 1` runs the journal-backed greedy loop
-/// (bit-identical to [`optimize_for_clone`]); wider beams run
+/// `beam_width == 1` runs the journal-backed greedy loop (every step
+/// bit-identical to [`apply_plan_clone_dirty`]); wider beams run
 /// [`crate::beam`]'s search, which is never worse than greedy (the
 /// greedy chain is kept alive in the beam).
 ///
@@ -523,158 +523,6 @@ fn optimize_greedy_journal(
                 best = fmax;
                 plan.pipelines.push((module, path));
                 dirty = Some(journal.rebase(&plan)?);
-            }
-            Advice::Stuck { fmax, .. } => {
-                return Err(DseError::Unreachable {
-                    target,
-                    best: fmax.max(best),
-                });
-            }
-        }
-    }
-    Err(DseError::Unreachable { target, best })
-}
-
-/// The greedy loop over copy-on-write replays: every iteration
-/// replays the whole accumulated plan from the base through
-/// [`apply_plan_dirty`] (a CoW clone plus a one-shot journal), but
-/// never keeps a journal alive across iterations.
-///
-/// This is the *middle* leg of `sta_bench`'s clone-vs-CoW-vs-journal
-/// comparison: it isolates how much of the speedup comes from CoW
-/// clones alone (cheap copies, full replays) versus the journal's
-/// rebase (no replays at all). Bit-identical to both neighbours.
-///
-/// # Errors
-///
-/// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
-pub fn optimize_for_cow(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-) -> Result<Optimized, DseError> {
-    let mut plan = OptimizationPlan::default();
-    let mut current = base.clone();
-    let mut trace = Vec::new();
-    let mut best = Mhz::new(0.0);
-    let mut dirty: Option<Vec<ModuleId>> = None;
-
-    for _ in 0..MAX_ITERS {
-        let advice = match &dirty {
-            None => advise_with(&current, tech, target, cache)?,
-            Some(d) => advise_delta(&current, tech, target, cache, d)?,
-        };
-        trace.push(advice.to_string());
-        match advice {
-            Advice::Met { fmax } => {
-                return Ok(Optimized {
-                    design: current,
-                    plan,
-                    fmax,
-                    trace,
-                });
-            }
-            Advice::DivideMemory {
-                module,
-                macro_name,
-                fmax,
-            } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                let key = (module, original_macro_name(&macro_name).to_string());
-                *plan.divisions.entry(key).or_insert(1) *= 2;
-                let (next, touched) = apply_plan_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::InsertPipeline { module, path, fmax } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                plan.pipelines.push((module, path));
-                let (next, touched) = apply_plan_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::Stuck { fmax, .. } => {
-                return Err(DseError::Unreachable {
-                    target,
-                    best: fmax.max(best),
-                });
-            }
-        }
-    }
-    Err(DseError::Unreachable { target, best })
-}
-
-/// The pre-journal greedy loop, retained verbatim as the reference:
-/// every iteration deep-clones the base and replays the whole
-/// accumulated plan through [`apply_plan_clone_dirty`].
-///
-/// Exists so the equivalence suite and `sta_bench` can assert the
-/// journal path is bit-identical (plans, designs, traces, fmax bit
-/// patterns) while measuring what the clone tax used to cost.
-///
-/// # Errors
-///
-/// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
-pub fn optimize_for_clone(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-) -> Result<Optimized, DseError> {
-    let mut plan = OptimizationPlan::default();
-    let mut current = base.deep_clone();
-    let mut trace = Vec::new();
-    let mut best = Mhz::new(0.0);
-    let mut dirty: Option<Vec<ModuleId>> = None;
-
-    for _ in 0..MAX_ITERS {
-        let advice = match &dirty {
-            None => advise_with(&current, tech, target, cache)?,
-            Some(d) => advise_delta(&current, tech, target, cache, d)?,
-        };
-        trace.push(advice.to_string());
-        match advice {
-            Advice::Met { fmax } => {
-                return Ok(Optimized {
-                    design: current,
-                    plan,
-                    fmax,
-                    trace,
-                });
-            }
-            Advice::DivideMemory {
-                module,
-                macro_name,
-                fmax,
-            } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                let key = (module, original_macro_name(&macro_name).to_string());
-                *plan.divisions.entry(key).or_insert(1) *= 2;
-                let (next, touched) = apply_plan_clone_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::InsertPipeline { module, path, fmax } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                plan.pipelines.push((module, path));
-                let (next, touched) = apply_plan_clone_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
             }
             Advice::Stuck { fmax, .. } => {
                 return Err(DseError::Unreachable {
@@ -781,50 +629,25 @@ mod tests {
     }
 
     #[test]
-    fn journal_loop_matches_clone_reference() {
-        // The headline bit-identity claim, on the real design: the
-        // journal-backed greedy loop, the CoW-replay middle leg and the
-        // retained clone-and-replay loop agree on everything, down to
-        // fmax bit patterns.
+    fn apply_plan_matches_clone_replay() {
+        // The per-step bit-identity claim on the real design, for the
+        // plans the greedy loop picks at every paper target: the
+        // journal's result is the deep-clone replay's, so the loop is
+        // the same whichever of the two produced its candidates.
         let tech = Tech::l65();
         let b = base();
         for target in [500.0, 590.0, 667.0] {
-            let target = Mhz::new(target);
-            let journal = optimize_for_with(&b, &tech, target, &StaCache::new()).unwrap();
-            let cow = optimize_for_cow(&b, &tech, target, &StaCache::new()).unwrap();
-            let clone = optimize_for_clone(&b, &tech, target, &StaCache::new()).unwrap();
-            for (name, other) in [("cow", &cow), ("clone", &clone)] {
-                assert_eq!(journal.plan, other.plan, "{name} plan diverges at {target}");
-                assert_eq!(
-                    journal.design, other.design,
-                    "{name} design diverges at {target}"
-                );
-                assert_eq!(
-                    journal.trace, other.trace,
-                    "{name} trace diverges at {target}"
-                );
-                assert_eq!(
-                    journal.fmax.value().to_bits(),
-                    other.fmax.value().to_bits(),
-                    "{name} fmax bits diverge at {target}"
-                );
-            }
+            let opt = optimize_for(&b, &tech, Mhz::new(target)).unwrap();
+            let (journal, dirty_j) = apply_plan_dirty(&b, &opt.plan).unwrap();
+            let (clone, dirty_c) = apply_plan_clone_dirty(&b, &opt.plan).unwrap();
+            assert_eq!(journal, clone, "design diverges at {target} MHz");
+            assert_eq!(journal, opt.design, "loop design diverges at {target} MHz");
+            assert_eq!(dirty_j, dirty_c, "dirty set diverges at {target} MHz");
+            assert_eq!(
+                ggpu_netlist::to_structural_verilog(&journal),
+                ggpu_netlist::to_structural_verilog(&clone)
+            );
         }
-    }
-
-    #[test]
-    fn apply_plan_matches_clone_replay() {
-        let tech = Tech::l65();
-        let b = base();
-        let opt = optimize_for(&b, &tech, Mhz::new(667.0)).unwrap();
-        let (journal, dirty_j) = apply_plan_dirty(&b, &opt.plan).unwrap();
-        let (clone, dirty_c) = apply_plan_clone_dirty(&b, &opt.plan).unwrap();
-        assert_eq!(journal, clone);
-        assert_eq!(dirty_j, dirty_c);
-        assert_eq!(
-            ggpu_netlist::to_structural_verilog(&journal),
-            ggpu_netlist::to_structural_verilog(&clone)
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   poisoned spec cannot abort its siblings;
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
-//!   (beam → greedy search, incremental STA → legacy full re-analysis,
+//!   (beam → greedy search, incremental STA → passthrough re-analysis,
 //!   analytical placer → legacy shelf packer, SoA backend → scalar
 //!   reference engine). Every step is recorded in a structured
 //!   [`DegradationReport`] — degraded results are never silent; the
@@ -420,7 +420,7 @@ impl Rung {
                 let sta = if cached_sta {
                     "incremental STA"
                 } else {
-                    "legacy full STA"
+                    "passthrough STA"
                 };
                 format!("{search} search + {sta}")
             }
@@ -499,7 +499,7 @@ impl Supervisor {
             },
         )?;
 
-        // Stage 2: plan (beam → greedy, incremental STA → legacy full).
+        // Stage 2: plan (beam → greedy, incremental STA → passthrough).
         let mut plan_rungs = Vec::new();
         let beam = self.config.dse.beam_width;
         if beam > 1 {
@@ -530,8 +530,8 @@ impl Supervisor {
                 let planner = if cached_sta {
                     planner.clone()
                 } else {
-                    // Legacy full re-analysis: a fresh passthrough
-                    // table, bit-identical results by the cache
+                    // Passthrough re-analysis: every query recomputed
+                    // from scratch, bit-identical results by the cache
                     // contract.
                     planner
                         .clone()

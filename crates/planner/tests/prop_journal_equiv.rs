@@ -3,13 +3,12 @@
 //!
 //! The journal path (`TransformJournal` rebase over one copy-on-write
 //! design) must be observationally *bit-identical* to the retained
-//! clone-and-replay reference (`apply_plan_clone_dirty` /
-//! `optimize_for_clone`): same designs, same Verilog bytes, same
-//! advisory dirty sets, same `TimingReport`s down to slack bit
-//! patterns. And every revert must restore the design exactly —
-//! structural fingerprint, per-module fingerprints and exported
-//! Verilog included — because the incremental STA engine keys on that
-//! content.
+//! clone-and-replay reference (`apply_plan_clone_dirty`): same designs,
+//! same Verilog bytes, same advisory dirty sets, same `TimingReport`s
+//! down to slack bit patterns. And every revert must restore the
+//! design exactly — structural fingerprint, per-module fingerprints and
+//! exported Verilog included — because the incremental STA engine keys
+//! on that content.
 
 mod common;
 

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Process-wide count of raw [`MemoryCompiler::compile`] invocations —
@@ -600,7 +600,6 @@ pub struct CompiledSramCache {
     table: RwLock<HashMap<(u64, SramConfig), Result<SramMacro, CompileSramError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl CompiledSramCache {
@@ -609,7 +608,6 @@ impl CompiledSramCache {
             table: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -631,9 +629,6 @@ impl CompiledSramCache {
         compiler: &MemoryCompiler,
         config: SramConfig,
     ) -> Result<SramMacro, CompileSramError> {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return compiler.compile(config);
-        }
         let key = (compiler.params_key, config);
         if let Some(r) = self
             .table
@@ -669,19 +664,6 @@ impl CompiledSramCache {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// Enables or disables memoization (process-wide). Intended for
-    /// benchmark harnesses that need to measure the unmemoized
-    /// baseline; leave enabled everywhere else. Disabling does not
-    /// drop existing entries — re-enabling resumes hitting them.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// `true` if memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }
 
