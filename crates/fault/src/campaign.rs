@@ -22,11 +22,11 @@
 //! after `kill -9` at *any* byte is byte-identical to an
 //! uninterrupted campaign (`tests/resume_prop.rs`).
 
-use crate::map::{Geometry, MacroMap};
+use crate::map::{Geometry, MacroMap, MapError};
 use crate::report::{CampaignReport, MacroAvf, OutcomeCounts};
 use crate::rng::Rng;
 use crate::workload::{Workload, WorkloadError};
-use ggpu_simt::{FaultPlan, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
+use ggpu_simt::{FaultPlan, Gpu, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
 use ggpu_wal::{Journal, WalError, WalOp};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,7 +122,8 @@ pub struct CampaignConfig {
     pub sim: SimtConfig,
     /// Livelock watchdog for every trial (and hang classification).
     pub watchdog: ggpu_simt::WatchdogConfig,
-    /// Worker threads; `0` picks the host parallelism.
+    /// Worker threads; `0` picks `GGPU_THREADS` if set, else the host
+    /// parallelism (the rule of [`ggpu_kernels::bench::suite_threads`]).
     pub threads: usize,
     /// Optional checkpoint file for resumable campaigns.
     pub checkpoint: Option<PathBuf>,
@@ -141,13 +142,12 @@ impl CampaignConfig {
         }
     }
 
-    fn worker_threads(&self) -> usize {
+    /// Workers for `jobs` pending trials, never more than `jobs`.
+    fn worker_threads(&self, jobs: usize) -> usize {
         if self.threads > 0 {
-            return self.threads;
+            return self.threads.min(jobs.max(1));
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        ggpu_kernels::bench::suite_threads(jobs)
     }
 }
 
@@ -155,6 +155,8 @@ impl CampaignConfig {
 /// not errors).
 #[derive(Debug)]
 pub enum CampaignError {
+    /// The design yields no injection sites.
+    Map(MapError),
     /// Preparing or golden-running the workload failed.
     Workload(WorkloadError),
     /// A trial could not even be set up (memory staging failed).
@@ -169,6 +171,7 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CampaignError::Map(e) => write!(f, "macro map: {e}"),
             CampaignError::Workload(e) => write!(f, "workload: {e}"),
             CampaignError::Setup(e) => write!(f, "trial setup: {e}"),
             CampaignError::Io(e) => write!(f, "checkpoint io: {e}"),
@@ -181,6 +184,7 @@ impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CampaignError::Io(e) => Some(e),
+            CampaignError::Map(e) => Some(e),
             CampaignError::Workload(e) => Some(e),
             CampaignError::Setup(e) => Some(e),
             CampaignError::Checkpoint(_) => None,
@@ -221,7 +225,27 @@ pub fn run_campaign(
     map: &MacroMap,
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
-    let golden = workload.run_golden(cfg.sim)?;
+    let (golden_cycles, records) = campaign_records(workload, map, cfg)?;
+    Ok(build_report(workload, map, cfg, golden_cycles, &records))
+}
+
+/// The work of [`run_campaign`]: the golden cycle count and every
+/// trial's record, in trial order.
+///
+/// Each worker reuses one machine: a trial resets it (zeroing only the
+/// pages the previous run wrote), stages the inputs and runs. The
+/// machines are allocated here, before the workers start — allocating
+/// them inside the worker threads spreads the images over per-thread
+/// allocator arenas and raises peak RSS.
+fn campaign_records(
+    workload: &Workload,
+    map: &MacroMap,
+    cfg: &CampaignConfig,
+) -> Result<(u64, Vec<TrialRecord>), CampaignError> {
+    let new_gpu = || Gpu::new(cfg.sim, workload.memory_words());
+    let mut machines = vec![new_gpu()];
+    // The first trial's reset clears the golden run's image.
+    let golden = workload.run_golden_on(&mut machines[0])?;
     // Injections target [1, cycles): cycle 0 precedes dispatch (every
     // CU-resident site is vacant) and the final cycle post-dates the
     // last read.
@@ -250,14 +274,19 @@ pub fn run_campaign(
     let pending: Vec<u32> = (0..cfg.trials).filter(|t| !done.contains_key(t)).collect();
     let sink: Mutex<TrialSink> = Mutex::new((Vec::with_capacity(pending.len()), journal));
     let next = AtomicUsize::new(0);
-    let workers = cfg.worker_threads().min(pending.len().max(1));
+    machines.extend((1..cfg.worker_threads(pending.len())).map(|_| new_gpu()));
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+        let (pending, sink, next, geom) = (&pending, &sink, &next, &geom);
+        for gpu in &mut machines {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&trial) = pending.get(i) else { break };
-                let res = run_trial(workload, map, cfg, &geom, cycle_hi, trial);
+                gpu.reset();
+                let res = workload
+                    .stage(gpu)
+                    .map_err(CampaignError::Setup)
+                    .and_then(|()| run_trial(gpu, workload, map, cfg, geom, cycle_hi, trial));
                 let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
                 if let (Ok(rec), Some(journal)) = (&res, guard.1.as_mut()) {
                     // Checkpoint write failures degrade to an
@@ -278,14 +307,14 @@ pub fn run_campaign(
         let rec = res?;
         done.insert(rec.trial, rec);
     }
-
-    let records: Vec<TrialRecord> = done.into_values().collect();
-    Ok(build_report(workload, map, cfg, golden.cycles, &records))
+    Ok((golden.cycles, done.into_values().collect()))
 }
 
-/// Runs one seeded trial. Pure in `(seed, trial)` given the map and
+/// Runs one seeded trial on `gpu`, which must hold the staged inputs
+/// of a clean machine. Pure in `(seed, trial)` given the map and
 /// geometry.
 fn run_trial(
+    gpu: &mut Gpu,
     workload: &Workload,
     map: &MacroMap,
     cfg: &CampaignConfig,
@@ -296,7 +325,6 @@ fn run_trial(
     let mut rng = Rng::for_trial(cfg.seed, u64::from(trial));
     let (macro_idx, injection) = map.sample_injection(&mut rng, geom, 1, cycle_hi);
     let cycle = injection.cycle;
-    let mut gpu = workload.fresh_gpu(cfg.sim).map_err(CampaignError::Setup)?;
     let opts = HardenedOptions {
         plan: FaultPlan::new(vec![injection]),
         watchdog: Some(cfg.watchdog),
@@ -305,7 +333,7 @@ fn run_trial(
         Err(SimError::UncorrectableFault(_)) => Outcome::DetectedUncorrectable,
         Err(SimError::Watchdog { .. }) | Err(SimError::CycleLimit { .. }) => Outcome::Hang,
         Err(_) => Outcome::Crash,
-        Ok(run) => match workload.read_output(&gpu) {
+        Ok(run) => match workload.read_output(gpu) {
             Err(_) => Outcome::Crash,
             Ok(out) if out != workload.golden() => Outcome::Sdc,
             Ok(_) if run.log.count(InjectionOutcome::Corrected) > 0 => Outcome::DetectedCorrected,
@@ -417,6 +445,66 @@ mod tests {
             assert_eq!(Outcome::parse(o.as_str()), Some(o));
         }
         assert_eq!(Outcome::parse("nope"), None);
+    }
+
+    /// Every trial on its own freshly allocated machine — the oracle
+    /// for the per-worker machine reuse of [`campaign_records`].
+    fn fresh_machine_records(
+        workload: &Workload,
+        map: &MacroMap,
+        cfg: &CampaignConfig,
+    ) -> (u64, Vec<TrialRecord>) {
+        let golden = workload.run_golden(cfg.sim).unwrap().cycles;
+        let geom = Geometry::new(cfg.sim, workload.memory_words());
+        let records = (0..cfg.trials)
+            .map(|t| {
+                let mut gpu = workload.fresh_gpu(cfg.sim).unwrap();
+                run_trial(&mut gpu, workload, map, cfg, &geom, golden.max(2), t).unwrap()
+            })
+            .collect();
+        (golden, records)
+    }
+
+    #[test]
+    fn machine_reuse_matches_fresh_machine_per_trial() {
+        use ggpu_kernels::bench;
+        use ggpu_netlist::EccPolicy;
+        use ggpu_tech::sram::EccScheme;
+
+        let design = ggpu_rtl::generate(&ggpu_rtl::GgpuConfig::with_cus(1).unwrap()).unwrap();
+        let kernels = [bench::all()[1], bench::all()[0], bench::all()[6]];
+        assert_eq!(kernels.map(|b| b.name), ["copy", "mat_mul", "parallel_sel"]);
+        let policies = [
+            EccPolicy::unprotected(),
+            EccPolicy::uniform(EccScheme::Parity),
+            EccPolicy::uniform(EccScheme::SecDed),
+        ];
+        for kernel in &kernels {
+            let workload = Workload::from_bench(kernel, 64).unwrap();
+            for policy in &policies {
+                let map = MacroMap::from_design(&design, policy).unwrap();
+                for seed in [1, 0xC0FFEE, 0x5eed_f417] {
+                    // 64 trials include upsets that leave output words
+                    // unwritten: a machine still holding an earlier
+                    // run's image would classify those differently.
+                    let mut cfg = CampaignConfig::new(seed, 64);
+                    let oracle = fresh_machine_records(&workload, &map, &cfg);
+                    for threads in [1, 2, 4] {
+                        cfg.threads = threads;
+                        let reused = campaign_records(&workload, &map, &cfg).unwrap();
+                        let what = format!(
+                            "{} / {policy} / seed {seed} / {threads} threads",
+                            kernel.name
+                        );
+                        assert_eq!(reused.0, oracle.0, "{what}: golden cycles");
+                        assert_eq!(reused.1.len(), oracle.1.len(), "{what}: trials");
+                        for (r, o) in reused.1.iter().zip(&oracle.1) {
+                            assert_eq!(r, o, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,11 +112,23 @@ impl Workload {
     /// assumed).
     pub fn fresh_gpu(&self, config: SimtConfig) -> Result<Gpu, SimError> {
         let mut gpu = Gpu::new(config, GPU_MEMORY_WORDS);
+        self.stage(&mut gpu)?;
+        Ok(gpu)
+    }
+
+    /// Writes the inputs into `gpu`. On a new or [`Gpu::reset`] machine
+    /// of [`Workload::memory_words`] words this yields exactly the
+    /// state of [`Workload::fresh_gpu`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the inputs do not fit the memory image.
+    pub fn stage(&self, gpu: &mut Gpu) -> Result<(), SimError> {
         gpu.write_words(GPU_A, &self.a)?;
         if !self.b.is_empty() {
             gpu.write_words(GPU_B, &self.b)?;
         }
-        Ok(gpu)
+        Ok(())
     }
 
     /// Runs the workload fault-free and returns its stats — the
@@ -128,13 +140,17 @@ impl Workload {
     /// or produces output differing from the golden model (which would
     /// mean the simulator itself is broken).
     pub fn run_golden(&self, config: SimtConfig) -> Result<RunStats, WorkloadError> {
-        let mut gpu = self.fresh_gpu(config).map_err(WorkloadError::Golden)?;
+        self.run_golden_on(&mut Gpu::new(config, GPU_MEMORY_WORDS))
+    }
+
+    /// [`Workload::run_golden`] on a caller-owned clean machine (new or
+    /// reset), which is left holding the golden run's memory image.
+    pub(crate) fn run_golden_on(&self, gpu: &mut Gpu) -> Result<RunStats, WorkloadError> {
+        self.stage(gpu).map_err(WorkloadError::Golden)?;
         let stats = gpu
             .launch(&self.kernel, &self.launch)
             .map_err(WorkloadError::Golden)?;
-        let out = gpu
-            .read_words(GPU_OUT, self.golden.len())
-            .map_err(WorkloadError::Golden)?;
+        let out = self.read_output(gpu).map_err(WorkloadError::Golden)?;
         if out != self.golden {
             return Err(WorkloadError::Golden(SimError::BadLaunch(
                 "golden run diverged from reference model".into(),

@@ -766,7 +766,7 @@ fn run_fault_campaign(
     trials: u32,
 ) -> Result<CampaignReport, FlowErrorKind> {
     let map = MacroMap::from_design(design, policy)
-        .map_err(|e| FlowErrorKind::Verify(format!("macro map: {e}")))?;
+        .map_err(|e| FlowErrorKind::Campaign(CampaignError::Map(e)))?;
     let copy = ggpu_kernels::bench::all()[1];
     let workload = Workload::from_bench(&copy, 256)
         .map_err(|e| FlowErrorKind::Campaign(CampaignError::Workload(e)))?;
@@ -894,6 +894,21 @@ mod tests {
         assert!(lint.has(ggpu_lint::Code::N010));
         assert!(!report.is_clean());
         assert!(DegradationReport::default().is_clean());
+    }
+
+    #[test]
+    fn macro_free_design_fails_the_campaign_stage() {
+        let mut design = ggpu_netlist::Design::new("e");
+        let top = design.add_module(ggpu_netlist::Module::new("m"));
+        design.set_top(top);
+        let err =
+            run_fault_campaign(&design, &ggpu_netlist::EccPolicy::unprotected(), 1, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            FlowErrorKind::Campaign(CampaignError::Map(ggpu_fault::MapError::NoMacros))
+        ));
+        let text = err.to_string();
+        assert!(text.starts_with("fault campaign:"), "{text}");
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::config::SimtConfig;
 use crate::fault::{
     FaultLog, FaultReport, HardenedOptions, HardenedRun, Injection, WatchdogConfig,
 };
+use crate::global::GlobalMemory;
 use crate::memsys::MemStats;
 use crate::trace::ExecTrace;
 use ggpu_isa::asm::{assemble, AssembleError};
@@ -335,7 +336,7 @@ impl RunStats {
 /// The SIMT machine: configuration plus global memory.
 pub struct Gpu {
     config: SimtConfig,
-    memory: Vec<u32>,
+    memory: GlobalMemory,
 }
 
 impl fmt::Debug for Gpu {
@@ -353,8 +354,18 @@ impl Gpu {
     pub fn new(config: SimtConfig, memory_words: usize) -> Self {
         Self {
             config,
-            memory: vec![0; memory_words],
+            memory: GlobalMemory::new(memory_words),
         }
+    }
+
+    /// Restores the machine to its freshly constructed state by
+    /// zeroing only the global-memory pages written since construction
+    /// or the previous reset (launch stores, fault injections and
+    /// [`Gpu::write_words`] all mark their page). Afterwards the
+    /// machine equals `Gpu::new(config, memory_words)`, at a cost
+    /// proportional to what was written rather than to memory size.
+    pub fn reset(&mut self) {
+        self.memory.reset();
     }
 
     /// The machine configuration.
@@ -380,7 +391,7 @@ impl Gpu {
                 addr: byte_addr + (data.len() as u32) * 4,
             });
         }
-        self.memory[start..end].copy_from_slice(data);
+        self.memory.store_slice(start, data);
         Ok(())
     }
 

@@ -55,6 +55,16 @@ echo "== smoke (seeded fault campaign, 64 injections/policy) =="
 # checked-in BENCH_fault.json from the full (non-smoke) run.
 cargo run --release -p ggpu-bench --bin fault_bench -- --smoke --out target/BENCH_fault_smoke.json
 
+echo "== full fault campaigns (byte-identical to BENCH_fault.json, ~0.4 s) =="
+# The 12 full campaigns must reproduce the checked-in reports byte for
+# byte once the host-dependent "wall_ms" values are stripped.
+cargo run --release -p ggpu-bench --bin fault_bench -- --out target/BENCH_fault_check.json
+strip_wall() { sed -E 's/"wall_ms": [0-9.]+//' "$1"; }
+if ! diff <(strip_wall BENCH_fault.json) <(strip_wall target/BENCH_fault_check.json); then
+    echo "fault_bench reports differ from BENCH_fault.json" >&2
+    exit 1
+fi
+
 echo "== smoke (SIMT backend agreement + throughput) =="
 # Runs every shipped kernel on both execution backends (scalar
 # reference and SoA fast path) and *asserts* their RunStats are
