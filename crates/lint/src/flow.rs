@@ -230,11 +230,11 @@ pub fn check_banking(
 /// the linter gates on the facts).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationStep {
-    /// Flow stage that degraded (`"plan"`, `"implement"`, …).
+    /// Flow stage that degraded (`"verify"`, `"plan"`, …).
     pub stage: String,
-    /// The configured engine that failed (`"placer=analytical"`).
+    /// The configured engine that failed (`"SoA backend"`).
     pub from: String,
-    /// The fallback that ran instead (`"placer=legacy"`).
+    /// The fallback that ran instead (`"scalar backend"`).
     pub to: String,
     /// Why the ladder stepped down.
     pub reason: String,

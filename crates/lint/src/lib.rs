@@ -31,6 +31,8 @@
 //! assert!(report.denial_count() > 0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod absint;
 pub mod cache;
 pub mod cfg;

@@ -182,7 +182,9 @@ pub(crate) fn optimize_beam(
             } else if Some(i) == protected_idx.filter(|&p| p >= width) {
                 // The greedy chain fell below the cut: it replaces the
                 // weakest survivor instead of dying.
-                *selected.last_mut().expect("width >= 1") = child;
+                if let Some(weakest) = selected.last_mut() {
+                    *weakest = child;
+                }
             }
         }
         // Each chain's progress guard baseline is its measured fmax

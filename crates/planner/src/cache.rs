@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of independent lock domains per result table; a power of two
 /// so the shard index is a mask of the key's low bits.
@@ -59,6 +59,18 @@ pub fn fingerprint(design: &Design, tech: &Tech) -> u64 {
     h.write_u64(design.structural_fingerprint());
     h.write_u64(tech.structural_fingerprint());
     h.finish()
+}
+
+/// Read-locks a shard, recovering a poisoned lock: every critical
+/// section is a single map lookup or insert, so a panic elsewhere never
+/// leaves a shard half-written.
+fn read<T>(shard: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks a shard; poison is recovered as in [`read`].
+fn write<T>(shard: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How a [`StaCache`] answers queries.
@@ -149,13 +161,13 @@ impl StaCache {
         }
         let key = fingerprint(design, tech);
         let shard = &self.fmax[(key as usize) & (SHARDS - 1)];
-        if let Some(v) = shard.read().expect("sta cache poisoned").get(&key) {
+        if let Some(v) = read(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = self.engine.max_frequency(design, tech)?;
-        shard.write().expect("sta cache poisoned").insert(key, v);
+        write(shard).insert(key, v);
         Ok(v)
     }
 
@@ -209,7 +221,7 @@ impl StaCache {
         let fp = fingerprint(design, tech);
         let key = (fp, clock.value().to_bits());
         let shard = &self.reports[(fp as usize) & (SHARDS - 1)];
-        if let Some(r) = shard.read().expect("sta cache poisoned").get(&key) {
+        if let Some(r) = read(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(r.clone());
         }
@@ -218,25 +230,14 @@ impl StaCache {
             Some(dirty) => self.engine.analyze_delta(design, tech, clock, dirty)?,
             None => self.engine.analyze(design, tech, clock)?,
         };
-        shard
-            .write()
-            .expect("sta cache poisoned")
-            .insert(key, r.clone());
+        write(shard).insert(key, r.clone());
         Ok(r)
     }
 
     /// Number of memoized results (both tables, all shards).
     pub fn entries(&self) -> usize {
-        let fmax: usize = self
-            .fmax
-            .iter()
-            .map(|s| s.read().expect("sta cache poisoned").len())
-            .sum();
-        let reports: usize = self
-            .reports
-            .iter()
-            .map(|s| s.read().expect("sta cache poisoned").len())
-            .sum();
+        let fmax: usize = self.fmax.iter().map(|s| read(s).len()).sum();
+        let reports: usize = self.reports.iter().map(|s| read(s).len()).sum();
         fmax + reports
     }
 

@@ -14,7 +14,6 @@
 //! CU count and re-priced for every frequency the DSE visits.
 
 use ggpu_kernels::bench::{self, Bench, BenchError};
-use ggpu_lint::{analyze, AnalysisCtx, LintConfig, MemAccessSummary};
 use ggpu_simt::SimtConfig;
 use ggpu_tech::units::Mhz;
 
@@ -69,113 +68,6 @@ pub fn kernel_cycles(compute_units: u32, n: u32) -> Result<Vec<KernelCycles>, Be
         .collect()
 }
 
-/// Static memory-access profile of one shipped kernel, exported from
-/// the lint crate's abstract interpreter. Unlike [`kernel_cycles`]
-/// this costs no simulation at all, so a planner objective can use
-/// the coalescing classes, cache-line bounds and LRAM bank-conflict
-/// degrees to pre-rank memory-geometry candidates (cache line size,
-/// bank count) before spending simulator time on the survivors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelMemProfile {
-    /// Kernel name (Table III row label).
-    pub kernel: &'static str,
-    /// One summary per reachable memory instruction, program order.
-    pub summaries: Vec<MemAccessSummary>,
-    /// Branch sites proven lane-uniform (no wavefront split).
-    pub uniform_branches: Vec<usize>,
-    /// Worst coalescing-class rank over all accesses (0 broadcast …
-    /// 3 scattered).
-    pub worst_class_rank: u8,
-    /// Worst cache-line bound of any single global access.
-    pub max_lines_per_issue: u32,
-    /// Worst LRAM bank-conflict degree of any single local access.
-    pub max_bank_conflict_degree: u32,
-}
-
-/// Profiles every shipped kernel (the Table III seven plus the
-/// LRAM-tiled `mat_mul_local` extension) under the launch-agnostic
-/// context — the same proven-sound bounds the simulator trace oracle
-/// gates in `ggpu-simt`'s property suite.
-///
-/// # Errors
-///
-/// Returns the first [`BenchError`] if a shipped kernel fails to
-/// assemble (which would also fail every simulation path).
-pub fn kernel_mem_profiles() -> Result<Vec<KernelMemProfile>, BenchError> {
-    let mut benches: Vec<Bench> = bench::all().to_vec();
-    benches.push(bench::mat_mul_local());
-    benches
-        .iter()
-        .map(|b| {
-            let (program, _) = ggpu_lint::verify_asm(b.name, b.gpu_asm(), &LintConfig::new())
-                .map_err(BenchError::GpuAsm)?;
-            let analysis = analyze(&program, &AnalysisCtx::default());
-            let worst_class_rank = analysis
-                .summaries
-                .iter()
-                .map(|s| s.class.rank())
-                .max()
-                .unwrap_or(0);
-            let max_lines_per_issue = analysis
-                .summaries
-                .iter()
-                .map(|s| s.max_lines_per_issue)
-                .max()
-                .unwrap_or(0);
-            let max_bank_conflict_degree = analysis
-                .summaries
-                .iter()
-                .map(|s| s.bank_conflict_degree)
-                .max()
-                .unwrap_or(0);
-            Ok(KernelMemProfile {
-                kernel: b.name,
-                summaries: analysis.summaries,
-                uniform_branches: analysis.uniform_branches,
-                worst_class_rank,
-                max_lines_per_issue,
-                max_bank_conflict_degree,
-            })
-        })
-        .collect()
-}
-
-/// Derives the analytical placer's net weights from the shipped
-/// kernels' proven memory-traffic profiles ([`kernel_mem_profiles`]).
-///
-/// The CU↔GMC interface weight grows with the kernels' global-memory
-/// pressure (mean worst cache-line bound per issue: more lines in
-/// flight means the FIFOs and cache arrays matter more), and the
-/// control weight grows with divergence pressure (mean worst
-/// coalescing-class rank: scattered kernels re-issue more, so the
-/// CRAM/scheduler path sees more traffic). Local star nets are the
-/// unit reference. Pure static analysis — no simulation — and
-/// deterministic, so the derived weights are stable placer inputs.
-///
-/// # Errors
-///
-/// Returns the first [`BenchError`] if a shipped kernel fails to
-/// assemble.
-pub fn dataflow_net_weights() -> Result<ggpu_pnr::NetWeights, BenchError> {
-    let profiles = kernel_mem_profiles()?;
-    let n = profiles.len().max(1) as f64;
-    let mean_lines = profiles
-        .iter()
-        .map(|p| f64::from(p.max_lines_per_issue))
-        .sum::<f64>()
-        / n;
-    let mean_rank = profiles
-        .iter()
-        .map(|p| f64::from(p.worst_class_rank))
-        .sum::<f64>()
-        / n;
-    Ok(ggpu_pnr::NetWeights {
-        io: (1.0 + mean_lines / 8.0).clamp(1.0, 4.0),
-        control: (1.0 + 0.15 * mean_rank).clamp(1.0, 2.0),
-        local: 1.0,
-    })
-}
-
 /// Prices a cycle table at `frequency`: runtime = cycles / f.
 ///
 /// # Panics
@@ -218,53 +110,6 @@ mod tests {
         }
         assert!(total_runtime_us(&fast) > 0.0);
         assert!((total_runtime_us(&slow) - 2.0 * total_runtime_us(&fast)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mem_profiles_cover_every_shipped_kernel() {
-        let profiles = kernel_mem_profiles().expect("shipped kernels assemble");
-        assert_eq!(profiles.len(), 8);
-        for p in &profiles {
-            assert!(
-                !p.summaries.is_empty(),
-                "{}: no memory accesses profiled",
-                p.kernel
-            );
-            assert!(p.worst_class_rank <= 3);
-            for s in &p.summaries {
-                assert!(s.addr_lo <= s.addr_hi);
-            }
-        }
-        // `copy` is the canonical coalesced kernel: every global access
-        // must be proven unit-stride, and its line bound must beat the
-        // scattered worst case of one line per lane.
-        let copy = profiles
-            .iter()
-            .find(|p| p.kernel == "copy")
-            .expect("copy profiled");
-        assert_eq!(copy.worst_class_rank, 1, "copy must be unit-stride");
-        assert!(copy.max_lines_per_issue < 64);
-        // The LRAM-tiled kernel is the only one with local traffic, so
-        // only it can report a bank-conflict degree.
-        let tiled = profiles
-            .iter()
-            .find(|p| p.kernel == "mat_mul_local")
-            .expect("mat_mul_local profiled");
-        assert!(tiled.max_bank_conflict_degree >= 1);
-    }
-
-    #[test]
-    fn net_weights_follow_kernel_traffic() {
-        let w = dataflow_net_weights().expect("shipped kernels assemble");
-        // The shipped mix includes scattered kernels, so the interface
-        // nets must outweigh local star nets, and divergence pressure
-        // must lift the control weight off the floor.
-        assert!(w.io > w.local, "io {} must exceed local {}", w.io, w.local);
-        assert!(w.control > 1.0 && w.control <= 2.0);
-        assert!(w.io <= 4.0);
-        assert_eq!(w.local, 1.0);
-        // Deterministic: static analysis only.
-        assert_eq!(dataflow_net_weights().unwrap(), w);
     }
 
     #[test]

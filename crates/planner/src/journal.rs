@@ -240,9 +240,9 @@ impl TransformJournal {
         self.entries.push(Entry {
             action: action.clone(),
             undo,
-            dirty,
+            dirty: dirty.clone(),
         });
-        Ok(self.entries.last().expect("just pushed").dirty.clone())
+        Ok(dirty)
     }
 
     /// Reverts the most recent transaction, restoring the design
@@ -270,12 +270,19 @@ impl TransformJournal {
             self.entries.len(),
             checkpoint.depth
         );
-        let mut touched = Vec::new();
-        while self.entries.len() > checkpoint.depth {
-            touched.extend(self.revert_last().expect("entries remain"));
-        }
+        let mut touched = self.revert_to(checkpoint.depth);
         touched.sort();
         touched.dedup();
+        touched
+    }
+
+    /// Reverts every transaction past the first `depth`, newest first,
+    /// returning the modules they restored (unsorted).
+    fn revert_to(&mut self, depth: usize) -> Vec<ModuleId> {
+        let mut touched = Vec::new();
+        while self.entries.len() > depth {
+            touched.extend(self.revert_last().unwrap_or_default());
+        }
         touched
     }
 
@@ -304,10 +311,7 @@ impl TransformJournal {
             .zip(&target)
             .take_while(|(entry, want)| entry.action == **want)
             .count();
-        let mut touched = Vec::new();
-        while self.entries.len() > common {
-            touched.extend(self.revert_last().expect("entries remain"));
-        }
+        let mut touched = self.revert_to(common);
         for action in &target[common..] {
             touched.extend(self.apply(action)?);
         }

@@ -26,6 +26,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod beam;
 pub mod cache;
 pub mod cycles;
@@ -42,18 +44,14 @@ pub mod sweep;
 pub mod versions;
 
 pub use cache::{fingerprint, StaCache};
-pub use cycles::{
-    dataflow_net_weights, kernel_cycles, kernel_mem_profiles, price_at, total_runtime_us,
-    KernelCycles, KernelMemProfile, KernelRuntime,
-};
+pub use cycles::{kernel_cycles, price_at, total_runtime_us, KernelCycles, KernelRuntime};
 pub use datasheet::{datasheet, datasheet_with_supervision};
 pub use dse::{
     apply_plan, apply_plan_clone_dirty, apply_plan_dirty, optimize_for, optimize_for_with,
     optimize_with_config, Action, DseConfig, DseError, OptimizationPlan, Optimized,
 };
 pub use flow::{
-    worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PnrSession,
-    PpaEstimate,
+    worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate,
 };
 pub use journal::{Checkpoint, TransformJournal};
 pub use map::{advise, advise_candidates, advise_delta, advise_with, Advice};

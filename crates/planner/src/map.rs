@@ -167,9 +167,11 @@ pub fn advise_candidates(
         if out.len() >= k.max(1) {
             break;
         }
-        let module_id = design
-            .module_by_name(&crit.module)
-            .expect("report module exists");
+        // A path of a module the design does not name offers no
+        // transform.
+        let Some(module_id) = design.module_by_name(&crit.module) else {
+            continue;
+        };
         let module = design.module(module_id);
         if let ggpu_netlist::timing::PathEndpoint::Macro(name) = &crit.start {
             let can_divide = module
@@ -202,11 +204,15 @@ pub fn advise_candidates(
         }
     }
     if out.is_empty() {
-        let crit = report.paths().first().expect("paths exist");
-        return Ok(vec![Advice::Stuck {
-            fmax,
-            path: format!("{}::{}", crit.module, crit.path),
-        }]);
+        // No paths at all trivially meets the target, as above.
+        let advice = match report.paths().first() {
+            Some(crit) => Advice::Stuck {
+                fmax,
+                path: format!("{}::{}", crit.module, crit.path),
+            },
+            None => Advice::Met { fmax: target },
+        };
+        return Ok(vec![advice]);
     }
     Ok(out)
 }
@@ -232,18 +238,23 @@ fn advise_inner(
         Some(dirty) => cache.analyze_delta(design, tech, target, dirty)?,
         None => cache.analyze(design, tech, target)?,
     };
-    let crit = report
-        .paths()
-        .first()
-        .expect("paths exist when fmax exists");
+    let Some(crit) = report.paths().first() else {
+        // No timing paths at all, as above.
+        return Ok(Advice::Met { fmax: target });
+    };
+    let stuck = || Advice::Stuck {
+        fmax,
+        path: format!("{}::{}", crit.module, crit.path),
+    };
+    // A path of a module the design does not name offers no transform.
+    let Some(module_id) = design.module_by_name(&crit.module) else {
+        return Ok(stuck());
+    };
+    let module = design.module(module_id);
 
     if let ggpu_netlist::timing::PathEndpoint::Macro(name) = &crit.start {
         // Check that the macro can still be divided.
-        let module_id = design
-            .module_by_name(&crit.module)
-            .expect("report module exists");
-        let can_divide = design
-            .module(module_id)
+        let can_divide = module
             .find_macro(name)
             .map(|m| m.config.words / 2 >= MIN_WORDS && m.config.words % 2 == 0)
             .unwrap_or(false);
@@ -256,11 +267,7 @@ fn advise_inner(
         }
     }
     // Pure-logic path, or an exhausted memory: pipeline if possible.
-    let module_id = design
-        .module_by_name(&crit.module)
-        .expect("report module exists");
-    let depth = design
-        .module(module_id)
+    let depth = module
         .paths
         .iter()
         .find(|p| p.name == crit.path)
@@ -273,10 +280,7 @@ fn advise_inner(
             fmax,
         })
     } else {
-        Ok(Advice::Stuck {
-            fmax,
-            path: format!("{}::{}", crit.module, crit.path),
-        })
+        Ok(stuck())
     }
 }
 

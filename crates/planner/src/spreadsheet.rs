@@ -77,13 +77,14 @@ pub fn frequency_map_with_policy(
         {
             continue;
         }
-        let module_id = design
-            .module_by_name(&timing.module)
-            .expect("report names an existing module");
         let mac = design
-            .module(module_id)
-            .find_macro(macro_name)
-            .expect("report names an existing macro");
+            .module_by_name(&timing.module)
+            .and_then(|id| design.module(id).find_macro(macro_name))
+            .ok_or_else(|| StaError::MacroNotFound {
+                module: timing.module.clone(),
+                path: timing.path.clone(),
+                macro_name: macro_name.clone(),
+            })?;
         let config = mac.config;
         let ecc = policy.map(|p| p.scheme_for(mac.role));
         let access_time = tech
@@ -140,7 +141,7 @@ pub fn map_to_csv(rows: &[MapRow]) -> String {
         a.slack
             .value()
             .partial_cmp(&b.slack.value())
-            .expect("finite slack")
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     let mut out = String::from(
         "module,macro,words,bits,ports,access_ns,slack_ns,divide_by,ecc,ecc_overhead_pct\n",

@@ -14,8 +14,7 @@
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
 //!   (beam → greedy search, incremental STA → passthrough re-analysis,
-//!   analytical placer → legacy shelf packer, SoA backend → scalar
-//!   reference engine). Every step is recorded in a structured
+//!   SoA backend → scalar reference engine). Every step is recorded in a structured
 //!   [`DegradationReport`] — degraded results are never silent; the
 //!   design linter surfaces them as `N010` findings
 //!   ([`ggpu_lint::check_supervision`]);
@@ -38,7 +37,6 @@ use ggpu_fault::{
     run_campaign, CampaignConfig, CampaignError, CampaignReport, MacroMap, Rng, Workload,
 };
 use ggpu_lint::DegradationStep;
-use ggpu_pnr::{panic_message, Placer};
 use ggpu_simt::{AccelBackend, SimtConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
@@ -48,6 +46,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
+
+/// Renders a caught panic payload as the message most panics carry
+/// (`&str` or `String`), falling back to a generic label for exotic
+/// payloads.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        return (*s).to_string();
+    }
+    if let Some(s) = payload.downcast_ref::<String>() {
+        return s.clone();
+    }
+    "non-string panic payload".to_string()
+}
 
 /// The stages of the supervised pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -401,8 +412,8 @@ enum Rung {
     Backend(AccelBackend),
     /// Plan with this beam width and STA caching mode.
     Search { beam_width: usize, cached_sta: bool },
-    /// Implement with this placer.
-    Place(Placer),
+    /// Implement (single-rung ladder; retry only).
+    Implement,
     /// Campaign (single-rung ladder; retry only).
     Campaign,
 }
@@ -424,8 +435,7 @@ impl Rung {
                 };
                 format!("{search} search + {sta}")
             }
-            Rung::Place(Placer::Analytical) => "analytical placer".into(),
-            Rung::Place(Placer::Legacy) => "legacy shelf placer".into(),
+            Rung::Implement => "place and route".into(),
             Rung::Campaign => "fault campaign".into(),
         }
     }
@@ -543,31 +553,17 @@ impl Supervisor {
             }
         })?;
 
-        // Stage 3: implement (analytical → legacy shelf placer).
-        let first_placer = self.planner.pnr_options().placer;
-        let implement_rungs: Vec<Rung> = match first_placer {
-            Placer::Legacy => vec![Rung::Place(Placer::Legacy)],
-            p => vec![Rung::Place(p), Rung::Place(Placer::Legacy)],
-        };
+        // Stage 3: implement.
         let version = self.ladder(
             spec,
             fp,
             FlowStage::Implement,
-            &implement_rungs,
+            &[Rung::Implement],
             &mut degradations,
             {
                 let planner = self.planner.clone();
                 let planned = planned.clone();
-                move |rung| {
-                    let Rung::Place(placer) = rung else {
-                        unreachable!("implement ladder holds placer rungs")
-                    };
-                    planner
-                        .clone()
-                        .with_placer(placer)
-                        .implement(&planned)
-                        .map_err(FlowErrorKind::Plan)
-                }
+                move |_| planner.implement(&planned).map_err(FlowErrorKind::Plan)
             },
         )?;
 
@@ -785,6 +781,16 @@ mod tests {
     }
 
     #[test]
+    fn panic_messages_render_str_and_string_payloads() {
+        let p = catch_unwind(|| panic!("plain str")).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "plain str");
+        let p = catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "formatted 7");
+        let p = catch_unwind(|| std::panic::panic_any(42u32)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
     fn clean_run_matches_the_plain_flow_bit_for_bit() {
         let planner = GpuPlanner::new(Tech::l65());
         let spec = Specification::new(1, Mhz::new(590.0));
@@ -885,9 +891,9 @@ mod tests {
     fn degradation_report_lints_as_n010() {
         let mut report = DegradationReport::default();
         report.steps.push(DegradationStep {
-            stage: "implement".into(),
-            from: "analytical placer".into(),
-            to: "legacy shelf placer".into(),
+            stage: "verify".into(),
+            from: "SoA backend".into(),
+            to: "scalar backend".into(),
             reason: "panicked: boom".into(),
         });
         let lint = report.lint("t", &ggpu_lint::LintConfig::new());

@@ -26,7 +26,7 @@ fn chaos_config(seed: u64) -> SupervisorConfig {
 }
 
 /// Every rung of the default ladder (greedy search, passthrough STA,
-/// legacy placer, scalar backend) is bit-identical to the first
+/// scalar backend) is bit-identical to the first
 /// choice, so *any* surviving outcome must equal the unsupervised
 /// flow's — chaos can slow the flow down or kill it, never change its
 /// silicon.

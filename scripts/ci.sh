@@ -39,14 +39,6 @@ echo "== property suite (transactional transform engine, release) =="
 # tests above.)
 cargo test --release -q -p gpuplanner --test prop_journal_equiv --test beam_vs_greedy --test clone_budget
 
-echo "== smoke (analytical placer quality + incremental PnR) =="
-# Legacy vs analytical HPWL on shared floorplans (asserts the
-# analytical placer wins at 8 CUs) and the scratch-vs-incremental
-# comparison (asserts the one-dirty-partition delta path is >= 5x
-# faster while producing bit-identical layouts). Tracked baseline is
-# the checked-in BENCH_pnr.json from the full (non-smoke) run.
-cargo run --release -p ggpu-bench --bin pnr_bench -- --smoke --out target/BENCH_pnr_smoke.json
-
 echo "== smoke (seeded fault campaign, 64 injections/policy) =="
 # Offline SEU campaign on the 1-CU design (copy kernel, unprotected /
 # parity / SEC-DED policies). The binary asserts determinism as it
@@ -89,5 +81,12 @@ echo "== smoke (flow supervision overhead + chaos zero-loss) =="
 # chaos sweep loses or corrupts nothing. Tracked baseline is the
 # checked-in BENCH_flow.json from the full (12-spec, 200-campaign) run.
 cargo run --release -p ggpu-bench --bin flow_bench -- --smoke --out target/BENCH_flow_smoke.json
+
+echo "== end-to-end benchmark (build + tests, as BENCHMARK.json runs it) =="
+# The benchmark is its own package with its own lock file and calls the
+# layers' public entry points, so a change to public API shows up here
+# first.
+cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
+cargo test --release --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "== ci green =="
