@@ -1,25 +1,16 @@
-//! Wall-clock measurements backing `EXPERIMENTS.md`: the event-driven
-//! SIMT core against the retained cycle-stepping reference, and the
-//! memoized + threaded 24-point design-space sweep against the
-//! seed-style cold-cache sequential search.
+//! Wall-clock measurements backing `EXPERIMENTS.md`: the memoized +
+//! threaded 24-point design-space sweep against the seed-style
+//! cold-cache sequential search.
 //!
 //! ```text
 //! cargo run --release -p ggpu-bench --bin sweep_timing
 //! GGPU_THREADS=4 cargo run --release -p ggpu-bench --bin sweep_timing
 //! ```
 
-use ggpu_kernels::{all, run_gpu_suite_with_threads, suite_threads};
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
 use gpuplanner::{worker_threads, GpuPlanner, PlanError, Specification};
 use std::time::Instant;
-
-fn kernel_size(name: &str) -> u32 {
-    match name {
-        "xcorr" | "parallel_sel" => 256,
-        _ => 2048,
-    }
-}
 
 fn main() {
     println!(
@@ -28,52 +19,6 @@ fn main() {
         std::env::var("GGPU_THREADS").unwrap_or_else(|_| "<unset>".into())
     );
 
-    // ---- Tentpole A: scheduler core, 7-kernel sweep ----
-    let benches = all();
-
-    println!(
-        "\n{:>14}  {:>10}  {:>10}  {:>8}  {:>10}",
-        "kernel", "ref wall", "event wall", "wall x", "iters x"
-    );
-    let mut ref_wall = std::time::Duration::ZERO;
-    let mut ev_wall = std::time::Duration::ZERO;
-    let mut ref_iters = 0u64;
-    let mut ev_iters = 0u64;
-    for b in &benches {
-        let n = kernel_size(b.name);
-        let r = b.run_gpu_reference(n, 2).expect("reference runs");
-        let e = b.run_gpu(n, 2).expect("event runs");
-        assert_eq!(r.cycles, e.cycles, "{}: schedulers must agree", b.name);
-        ref_wall += r.sim_wall;
-        ev_wall += e.sim_wall;
-        ref_iters += r.sched_iterations;
-        ev_iters += e.sched_iterations;
-        println!(
-            "{:>14}  {:>10.1?}  {:>10.1?}  {:>7.2}x  {:>9.1}x",
-            b.name,
-            r.sim_wall,
-            e.sim_wall,
-            r.sim_wall.as_secs_f64() / e.sim_wall.as_secs_f64(),
-            r.sched_iterations as f64 / e.sched_iterations as f64
-        );
-    }
-
-    let threads = suite_threads(benches.len());
-    let t = Instant::now();
-    run_gpu_suite_with_threads(&benches, 2048, 2, threads).expect("threaded sweep");
-    let suite_wall = t.elapsed();
-
-    println!("\n== 7-kernel sweep (n=2048, quadratic kernels n=256, 2 CUs) ==");
-    println!("reference (cycle-stepping): {ref_wall:>10.1?}  ({ref_iters} scheduler iterations)");
-    println!("event-driven:               {ev_wall:>10.1?}  ({ev_iters} scheduler iterations)");
-    println!(
-        "speedup {:.2}x wall, {:.1}x fewer scheduler iterations",
-        ref_wall.as_secs_f64() / ev_wall.as_secs_f64(),
-        ref_iters as f64 / ev_iters as f64
-    );
-    println!("event-driven, {threads} worker thread(s), uniform n=2048: {suite_wall:.1?}");
-
-    // ---- Tentpole B: 24-point best_within sweep ----
     let (area, power) = (100.0, 100.0); // generous: all 24 points plan fully
 
     // Seed-style baseline: no memoization shared between points (a

@@ -111,19 +111,19 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Number of independent single-fault trials.
     pub trials: u32,
-    /// The simulated machine. The default configuration leaves
-    /// [`SimtConfig::backend`] on `Auto`, which resolves to the SoA
-    /// fast path — fault semantics are bit-identical across backends
-    /// (the simt equivalence suite pins this, injection plans and
-    /// watchdog included), so campaigns get the fast engine without
-    /// any behavioural difference; set the backend to
-    /// [`ggpu_simt::AccelBackend::Scalar`] to run the reference engine
-    /// when bisecting.
+    /// The simulated machine. The default configuration runs the
+    /// production SoA backend on the event-driven scheduler; fault
+    /// semantics are bit-identical to the oracle (the simt equivalence
+    /// suite pins this, injection plans, logged cycles and watchdog
+    /// included), so set the backend to
+    /// [`ggpu_simt::AccelBackend::Scalar`] to run the scalar
+    /// cycle-stepping oracle when bisecting.
     pub sim: SimtConfig,
     /// Livelock watchdog for every trial (and hang classification).
     pub watchdog: ggpu_simt::WatchdogConfig,
     /// Worker threads; `0` picks `GGPU_THREADS` if set, else the host
-    /// parallelism (the rule of [`ggpu_kernels::bench::suite_threads`]).
+    /// parallelism (the workspace's one rule,
+    /// [`ggpu_tech::configured_threads`]).
     pub threads: usize,
     /// Optional checkpoint file for resumable campaigns.
     pub checkpoint: Option<PathBuf>,
@@ -144,10 +144,11 @@ impl CampaignConfig {
 
     /// Workers for `jobs` pending trials, never more than `jobs`.
     fn worker_threads(&self, jobs: usize) -> usize {
-        if self.threads > 0 {
-            return self.threads.min(jobs.max(1));
-        }
-        ggpu_kernels::bench::suite_threads(jobs)
+        let threads = match self.threads {
+            0 => ggpu_tech::configured_threads(),
+            n => n,
+        };
+        threads.min(jobs.max(1))
     }
 }
 

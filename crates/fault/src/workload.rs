@@ -4,10 +4,10 @@
 //! Mirrors `ggpu_kernels::bench`'s run recipe exactly (memory layout,
 //! parameter order, workgroup sizing) so a zero-injection campaign run
 //! is bit-identical to the benchmark harness's own launches. Runs
-//! execute on whatever [`SimtConfig::backend`] resolves to — the SoA
-//! fast path by default — and every golden/trial comparison in this
-//! module is backend-independent by the equivalence suite's
-//! bit-identity guarantee.
+//! execute on the [`SimtConfig::backend`] given — production SoA on the
+//! time wheel by default, or the scalar cycle-stepping oracle — and
+//! every golden/trial comparison in this module is backend-independent
+//! by the equivalence suite's bit-identity guarantee.
 
 use ggpu_kernels::bench::{Bench, Kind};
 use ggpu_kernels::layout::{GPU_A, GPU_B, GPU_MEMORY_WORDS, GPU_OUT};

@@ -248,34 +248,14 @@ impl Bench {
 
     /// Runs the kernel on a machine with an explicit [`SimtConfig`] —
     /// for architecture-sensitivity studies (cache size, AXI width,
-    /// divider behaviour) beyond the paper's fixed configuration.
+    /// divider behaviour) beyond the paper's fixed configuration, or on
+    /// the scalar oracle backend ([`ggpu_simt::AccelBackend::Scalar`]).
     ///
     /// # Errors
     ///
     /// Returns [`BenchError`] on simulation faults or output
     /// mismatches.
     pub fn run_gpu_with(&self, n: u32, config: SimtConfig) -> Result<RunStats, BenchError> {
-        self.run_gpu_inner(n, config, false)
-    }
-
-    /// Runs the kernel under the retained cycle-stepping reference
-    /// scheduler ([`ggpu_simt::Gpu::launch_reference`]) — the
-    /// validation oracle the event-driven core is checked against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError`] on simulation faults or output
-    /// mismatches.
-    pub fn run_gpu_reference(&self, n: u32, cus: u32) -> Result<RunStats, BenchError> {
-        self.run_gpu_inner(n, SimtConfig::with_cus(cus), true)
-    }
-
-    fn run_gpu_inner(
-        &self,
-        n: u32,
-        config: SimtConfig,
-        reference: bool,
-    ) -> Result<RunStats, BenchError> {
         if self.kind == Kind::MatMulLocal && !n.is_multiple_of(64) {
             return Err(BenchError::Gpu(SimError::BadLaunch(
                 "mat_mul_local requires full wavefronts (n % 64 == 0)".into(),
@@ -291,12 +271,7 @@ impl Bench {
             Kernel::from_asm_verified(self.name, self.gpu_asm()).map_err(BenchError::GpuVerify)?;
         let wg = n.min(256);
         let launch = Launch::new(n, wg, vec![n, GPU_A, GPU_B, GPU_OUT, self.extra(n)]);
-        let stats = if reference {
-            gpu.launch_reference(&kernel, &launch)
-        } else {
-            gpu.launch(&kernel, &launch)
-        }
-        .map_err(BenchError::Gpu)?;
+        let stats = gpu.launch(&kernel, &launch).map_err(BenchError::Gpu)?;
         let golden = self.golden(n);
         let out = gpu
             .read_words(GPU_OUT, golden.len())
@@ -336,17 +311,11 @@ impl Bench {
 }
 
 /// Number of worker threads for a suite of `jobs` kernels: the
-/// `GGPU_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`], clamped to the
-/// job count. The same knob governs the planner's parallel sweep.
+/// workspace's one `GGPU_THREADS` rule ([`ggpu_simt::configured_threads`])
+/// clamped to the job count. The same knob governs the planner's
+/// parallel sweep and the fault campaigns.
 pub fn suite_threads(jobs: usize) -> usize {
-    let configured = std::env::var("GGPU_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    let threads =
-        configured.unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()));
-    threads.min(jobs.max(1))
+    ggpu_simt::configured_threads().min(jobs.max(1))
 }
 
 /// Runs every benchmark at size `n` on `cus` compute units, verifying

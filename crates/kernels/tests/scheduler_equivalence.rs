@@ -1,23 +1,26 @@
-//! End-to-end equivalence of the event-driven SIMT core against the
-//! retained cycle-stepping reference, across the paper's whole
-//! Table III kernel suite (plus the LRAM-tiled extension).
+//! End-to-end equivalence of production (the SoA wave on the
+//! event-driven time wheel) against the oracle (the scalar wave on
+//! the cycle-stepping driver), across the paper's whole Table III
+//! kernel suite (plus the LRAM-tiled extension).
 //!
 //! `RunStats` equality covers cycles, instruction/lane/wavefront/
 //! workgroup counts, busy and stall accounting and the full memory
 //! statistics — everything except the host-side performance fields
 //! (`sim_wall`, `sched_iterations`), which are expected to differ:
-//! that difference *is* the optimization.
+//! that difference *is* the optimization. Each run also checks its
+//! output against the kernel's golden.
 
 use ggpu_kernels::bench::{all, mat_mul_local, run_gpu_suite_with_threads, Bench};
-use ggpu_simt::RunStats;
+use ggpu_simt::{AccelBackend, RunStats, SimtConfig};
 
 fn both(bench: &Bench, n: u32, cus: u32) -> (RunStats, RunStats) {
     let event = bench
         .run_gpu(n, cus)
         .unwrap_or_else(|e| panic!("{} event-driven: {e}", bench.name));
+    let oracle = SimtConfig::with_cus(cus).with_backend(AccelBackend::Scalar);
     let reference = bench
-        .run_gpu_reference(n, cus)
-        .unwrap_or_else(|e| panic!("{} reference: {e}", bench.name));
+        .run_gpu_with(n, oracle)
+        .unwrap_or_else(|e| panic!("{} oracle: {e}", bench.name));
     (event, reference)
 }
 

@@ -89,8 +89,18 @@ mod tests {
     use super::*;
     use ggpu_isa::asm::assemble;
 
+    /// Serializes the tests that touch the process-wide cache: the
+    /// harness runs tests concurrently, and exact counter deltas only
+    /// hold while no other test verifies through the cache.
+    static CACHE_USERS: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn cache_replays_identical_reports_and_counts_hits() {
+        let _guard = exclusive();
         let program = assemble("gid r1\nslli r2, r1, 2\nlw r3, r2, 0\nsw r2, r3, 4\nret").unwrap();
         let config = LintConfig::new();
         let (_, m0) = verify_cache_stats();
@@ -109,6 +119,7 @@ mod tests {
 
     #[test]
     fn different_policies_do_not_share_entries() {
+        let _guard = exclusive();
         let program = assemble("addi r5, r0, 1\nret").unwrap(); // K002 warn
         let relaxed = verify_program_cached("t", &program, &LintConfig::new());
         let strict = verify_program_cached("t", &program, &LintConfig::strict());

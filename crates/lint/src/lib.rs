@@ -54,3 +54,6 @@ pub use flow::{
 };
 pub use kernel::{verify_asm, verify_program, verify_program_with_ctx, DIVERGENCE_DEPTH_LIMIT};
 pub use shipped::{verify_shipped, SHIPPED_KERNELS};
+// Passed through for crates that reach `ggpu-tech` only via this one
+// (`ggpu-simt`, `ggpu-kernels`), so every fan-out shares one rule.
+pub use ggpu_tech::configured_threads;

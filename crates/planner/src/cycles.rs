@@ -4,9 +4,10 @@
 //! kernel runtime — simulated cycles divided by the achieved clock.
 //! This module supplies the cycle half from the SIMT simulator: each
 //! shipped kernel is run once at the candidate's CU geometry (on the
-//! default [`Accelerator`](ggpu_simt::Accelerator) backend, i.e. the
-//! SoA fast path) and the cycle counts are combined with a frequency
-//! into a runtime table a planner objective can rank candidates by.
+//! default [`AccelBackend::Soa`](ggpu_simt::AccelBackend::Soa)
+//! production simulator) and the cycle counts are combined with a
+//! frequency into a runtime table a planner objective can rank
+//! candidates by.
 //!
 //! Cycle counts are architectural (backend-independent by the
 //! equivalence suite's bit-identity guarantee) and depend only on the

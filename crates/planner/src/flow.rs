@@ -25,8 +25,8 @@ use std::thread;
 /// to the job count.
 pub fn worker_threads(jobs: usize) -> usize {
     // One knob for the whole flow: kernel suites and fault campaigns
-    // apply the same rule (`ggpu_kernels::bench::suite_threads`).
-    ggpu_pnr::configured_threads().min(jobs.max(1))
+    // apply the same rule.
+    ggpu_tech::configured_threads().min(jobs.max(1))
 }
 
 /// Maps `job(0..jobs)` across `threads` scoped workers, returning the

@@ -422,7 +422,7 @@ impl Rung {
     fn name(self) -> String {
         match self {
             Rung::Backend(AccelBackend::Scalar) => "scalar backend".into(),
-            Rung::Backend(_) => "SoA backend".into(),
+            Rung::Backend(AccelBackend::Soa) => "SoA backend".into(),
             Rung::Search {
                 beam_width,
                 cached_sta,
@@ -493,7 +493,10 @@ impl Supervisor {
         // Stage 1: verify (SoA → scalar ladder).
         let verify_rungs: Vec<Rung> = match self.config.backend {
             AccelBackend::Scalar => vec![Rung::Backend(AccelBackend::Scalar)],
-            b => vec![Rung::Backend(b), Rung::Backend(AccelBackend::Scalar)],
+            AccelBackend::Soa => vec![
+                Rung::Backend(AccelBackend::Soa),
+                Rung::Backend(AccelBackend::Scalar),
+            ],
         };
         self.ladder(
             spec,
@@ -746,7 +749,7 @@ pub fn verify_kernels(backend: AccelBackend) -> Result<(), FlowErrorKind> {
             "smoke output diverges from golden on `{}` backend",
             match backend {
                 AccelBackend::Scalar => "scalar",
-                _ => "soa",
+                AccelBackend::Soa => "soa",
             }
         )));
     }

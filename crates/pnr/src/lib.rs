@@ -55,16 +55,7 @@ pub struct PnrOptions {
     pub densities: DensityTargets,
 }
 
-/// Worker-thread count for the workspace's parallel fan-outs:
-/// `GGPU_THREADS` if set to a positive integer, otherwise the host
-/// parallelism.
-pub fn configured_threads() -> usize {
-    std::env::var("GGPU_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
+pub use ggpu_tech::configured_threads;
 
 /// Errors of the physical flow.
 #[derive(Debug, Clone, PartialEq)]

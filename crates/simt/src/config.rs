@@ -1,24 +1,22 @@
 //! Simulator configuration: machine geometry and timing parameters.
 
-/// Which execution backend ([`crate::Accelerator`]) runs a launch.
+use crate::soa::MAX_WF;
+
+/// Which wave engine and scheduler driver run a launch.
 ///
-/// Every backend simulates the identical architecture — outputs,
+/// Both simulate the identical architecture — outputs,
 /// [`crate::RunStats`], memory image and fault semantics are
 /// bit-identical — so this knob only trades host speed for engine
 /// simplicity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccelBackend {
-    /// Pick automatically: the SoA fast path where the geometry allows
-    /// it (`wavefront_size <= 64`), with a silent scalar fallback where
-    /// it does not.
+    /// Production: the data-oriented structure-of-arrays wave on the
+    /// event-driven time wheel.
     #[default]
-    Auto,
-    /// The retained per-lane scalar reference engine (the oracle).
-    Scalar,
-    /// The data-oriented structure-of-arrays fast path. Explicitly
-    /// selecting it on `wavefront_size > 64` fails the launch with
-    /// [`crate::SimError::BadConfig`] instead of silently demoting.
     Soa,
+    /// The oracle: the per-lane scalar wave on the cycle-stepping
+    /// driver, which visits every simulated cycle.
+    Scalar,
 }
 
 /// How the local scratchpad (LRAM) serves a wavefront beat's lanes.
@@ -113,7 +111,8 @@ pub struct SimtConfig {
     pub compute_units: u32,
     /// Processing elements per CU (FGPU: 8).
     pub pes_per_cu: u32,
-    /// Work-items per wavefront (FGPU: 64).
+    /// Work-items per wavefront (FGPU: 64; at most 64, one exec-mask
+    /// word — see [`SimtConfig::validate`]).
     pub wavefront_size: u32,
     /// Resident wavefronts per CU (FGPU: 8, i.e. 512 work-items).
     pub max_wavefronts_per_cu: u32,
@@ -138,7 +137,7 @@ pub struct SimtConfig {
     pub lram: LramModel,
     /// Hard cycle ceiling; exceeded means a runaway kernel.
     pub max_cycles: u64,
-    /// Execution backend (host-side engine choice; architecturally
+    /// Wave engine and driver (host-side choice; architecturally
     /// invisible).
     pub backend: AccelBackend,
 }
@@ -174,11 +173,12 @@ impl SimtConfig {
         workgroup_size.div_ceil(self.wavefront_size)
     }
 
-    /// Checks the geometry for structural validity. All fields are
-    /// public, so a hand-built configuration can contain zero-sized
-    /// extents that would divide by zero inside the memory system;
-    /// the simulator rejects those with a typed error at launch
-    /// instead of panicking mid-run.
+    /// Checks the geometry for structural validity and capability
+    /// limits. All fields are public, so a hand-built configuration
+    /// can contain zero-sized extents that would divide by zero inside
+    /// the memory system, or wavefronts wider than the 64-lane
+    /// exec-mask word; the simulator rejects those with a typed error
+    /// at launch instead of panicking mid-run.
     ///
     /// # Errors
     ///
@@ -192,6 +192,12 @@ impl SimtConfig {
         }
         if self.wavefront_size == 0 {
             return Err("zero wavefront size".into());
+        }
+        if self.wavefront_size > MAX_WF {
+            return Err(format!(
+                "wavefront size {} exceeds the {MAX_WF}-lane exec-mask word",
+                self.wavefront_size
+            ));
         }
         if self.max_wavefronts_per_cu == 0 {
             return Err("zero resident wavefronts per CU".into());
@@ -282,6 +288,7 @@ mod tests {
             (|c| c.compute_units = 0, "compute units"),
             (|c| c.pes_per_cu = 0, "processing elements"),
             (|c| c.wavefront_size = 0, "wavefront size"),
+            (|c| c.wavefront_size = 65, "64-lane exec-mask word"),
             (|c| c.max_wavefronts_per_cu = 0, "resident wavefronts"),
             (|c| c.cache.line_bytes = 0, "line size"),
             (|c| c.cache.size_kib = 0, "holds no"),

@@ -1,23 +1,24 @@
-//! The generic wavefront scheduler shared by every [`crate::Accelerator`]
-//! backend.
+//! The generic wavefront scheduler shared by both wave engines.
 //!
 //! The scheduler (dispatch, round-robin issue selection, the
-//! event-driven time wheel and the cycle-stepping reference driver,
+//! event-driven time wheel and the cycle-stepping driver,
 //! fault-injection/watchdog harness hooks) is written once, generic
 //! over a [`Wave`] engine that owns the per-wavefront architectural
-//! state and the per-instruction lane loop. Two engines ship:
+//! state and the per-instruction lane loop. Two engines ship, each
+//! paired with one driver by [`crate::Gpu`] (the only place that
+//! pairs them, from [`crate::AccelBackend`]):
 //!
-//! * [`ScalarWave`] — the retained reference: per-lane `Vec`s, one
-//!   scalar loop per instruction. Kept byte-for-byte equivalent to the
-//!   pre-trait simulator and used as the validation oracle.
-//! * [`crate::soa::SoaWave`] — the data-oriented fast path:
+//! * [`crate::soa::SoaWave`] on the time wheel — production: a
 //!   structure-of-arrays register file, 64-bit `exec` bitmask, dense
 //!   vectorizable lane loops and a reusable scratch arena.
+//! * [`ScalarWave`] on the cycle-stepping driver — the oracle: per-lane
+//!   `Vec`s, one scalar loop per instruction, one pass per simulated
+//!   cycle.
 //!
-//! Both engines execute the *same* scheduler passes in the same order,
-//! which is what makes their outputs, [`RunStats`], memory images and
-//! fault semantics bit-identical (enforced by
-//! `crates/simt/tests/prop_backend_equiv.rs`).
+//! Both drivers execute the *same* scheduler pass, and both engines
+//! the same per-lane semantics, which is what makes outputs,
+//! [`RunStats`], memory images and fault semantics bit-identical
+//! (enforced by `crates/simt/tests/prop_backend_equiv.rs`).
 
 use crate::config::SimtConfig;
 use crate::fault::{FaultEvent, FaultSite, Injection, InjectionOutcome, Protection};
@@ -181,8 +182,8 @@ struct PassOutcome {
 }
 
 /// One in-flight kernel run: machine state plus scheduling queues,
-/// shared by the event-driven scheduler and the cycle-stepping
-/// reference so both execute byte-for-byte identical passes.
+/// shared by the event-driven and the cycle-stepping driver so both
+/// execute byte-for-byte identical passes.
 pub(crate) struct Sched<'a, W: Wave> {
     env: IssueEnv<'a>,
     memory: &'a mut GlobalMemory,
@@ -198,72 +199,69 @@ pub(crate) struct Sched<'a, W: Wave> {
     trace: Option<&'a mut ExecTrace>,
 }
 
-/// Builds and runs one launch on wave engine `W`, under either the
-/// event-driven driver or the cycle-stepping reference driver.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_launch<W: Wave>(
-    config: SimtConfig,
-    program: &[Inst],
-    params: [u32; PARAM_SLOTS],
-    (global_size, workgroup_size): (u32, u32),
-    memory: &mut GlobalMemory,
-    reference: bool,
-    hard: Option<&mut HardenState>,
-    trace: Option<&mut ExecTrace>,
-) -> Result<RunStats, SimError> {
-    let total_groups = global_size.div_ceil(workgroup_size);
-    let sched = Sched::<W> {
-        env: IssueEnv {
-            config,
-            program,
-            params,
-            global_size,
-            workgroup_size,
-            pes_shift: config
-                .pes_per_cu
-                .is_power_of_two()
-                .then(|| config.pes_per_cu.trailing_zeros()),
-        },
-        memory,
-        cache: SharedCache::new(config.cache, Dram::new(config.dram)),
-        cus: (0..config.compute_units)
-            .map(|_| ComputeUnit {
-                wavefronts: Vec::new(),
-                pool: Vec::new(),
-                local_mem: vec![0; LOCAL_WORDS],
-                busy_until: 0,
-                rr_cursor: 0,
-                dispatch_hint: true,
-                cached_live: false,
-                cached_ready: u64::MAX,
-                dirty: true,
-            })
-            .collect(),
-        total_groups,
-        next_group: 0,
-        stats: RunStats {
-            workgroups: u64::from(total_groups),
-            ..RunStats::default()
-        },
-        scratch: W::Scratch::default(),
-        hard,
-        trace,
-    };
-    if reference {
-        sched.run_cycle_reference()
-    } else {
-        sched.run_event_driven()
-    }
-}
-
 impl<'a, W: Wave> Sched<'a, W> {
+    /// Builds one validated launch on wave engine `W`, ready for
+    /// either driver.
+    pub(crate) fn new(
+        config: SimtConfig,
+        program: &'a [Inst],
+        params: [u32; PARAM_SLOTS],
+        (global_size, workgroup_size): (u32, u32),
+        memory: &'a mut GlobalMemory,
+        hard: Option<&'a mut HardenState>,
+        trace: Option<&'a mut ExecTrace>,
+    ) -> Self {
+        let total_groups = global_size.div_ceil(workgroup_size);
+        Self {
+            env: IssueEnv {
+                config,
+                program,
+                params,
+                global_size,
+                workgroup_size,
+                pes_shift: config
+                    .pes_per_cu
+                    .is_power_of_two()
+                    .then(|| config.pes_per_cu.trailing_zeros()),
+            },
+            memory,
+            cache: SharedCache::new(config.cache, Dram::new(config.dram)),
+            cus: (0..config.compute_units)
+                .map(|_| ComputeUnit {
+                    wavefronts: Vec::new(),
+                    pool: Vec::new(),
+                    local_mem: vec![0; LOCAL_WORDS],
+                    busy_until: 0,
+                    rr_cursor: 0,
+                    dispatch_hint: true,
+                    cached_live: false,
+                    cached_ready: u64::MAX,
+                    dirty: true,
+                })
+                .collect(),
+            total_groups,
+            next_group: 0,
+            stats: RunStats {
+                workgroups: u64::from(total_groups),
+                ..RunStats::default()
+            },
+            scratch: W::Scratch::default(),
+            hard,
+            trace,
+        }
+    }
+
     /// Event-driven driver: the time wheel. Runs a pass, then jumps
     /// `now` directly to the next event, accounting the skipped idle
     /// cycles arithmetically.
-    fn run_event_driven(mut self) -> Result<RunStats, SimError> {
+    pub(crate) fn run_event_driven(mut self) -> Result<RunStats, SimError> {
         let mut now: u64 = 0;
         loop {
             if now > self.env.config.max_cycles {
+                // The stepping driver visits every cycle up to the
+                // ceiling; land the harness work it would have done in
+                // the skipped span before giving up.
+                self.harness_tick(self.env.config.max_cycles)?;
                 return Err(SimError::CycleLimit {
                     limit: self.env.config.max_cycles,
                 });
@@ -280,8 +278,8 @@ impl<'a, W: Wave> Sched<'a, W> {
         Ok(self.stats)
     }
 
-    /// Cycle-stepping reference driver: visits every simulated cycle.
-    fn run_cycle_reference(mut self) -> Result<RunStats, SimError> {
+    /// Cycle-stepping driver: visits every simulated cycle.
+    pub(crate) fn run_cycle_stepping(mut self) -> Result<RunStats, SimError> {
         let mut now: u64 = 0;
         loop {
             if now > self.env.config.max_cycles {
@@ -310,10 +308,10 @@ impl<'a, W: Wave> Sched<'a, W> {
     /// wavefront retirement (or dispatch) with workgroups still queued
     /// re-opens dispatch at `now + 1`; once no live wavefront remains
     /// anywhere, one final drain pass at `now + 1` reproduces the
-    /// reference loop's trailing busy accounting and break timing.
+    /// stepping loop's trailing busy accounting and break timing.
     ///
     /// The idle accounting adds the busy/stall increments the
-    /// reference loop would have made during the skipped cycles
+    /// stepping loop would have made during the skipped cycles
     /// `now+1 ..= next-1`, in closed form: during that span no CU
     /// state changes, a CU counts as busy while `cycle < busy_until`,
     /// and as stalled for the rest of the span iff it holds live
@@ -386,54 +384,72 @@ impl<'a, W: Wave> Sched<'a, W> {
         self.harness_tick_inner(now, hard)
     }
 
+    /// Replays, in cycle order, the harness work a cycle-stepping run
+    /// does at every cycle up to `now`: injections land at their own
+    /// cycle, and watchdog deadlines sit on the fixed grid
+    /// `k * interval`. Between passes no architectural state changes,
+    /// so the time wheel reaches the same verdicts, reports the same
+    /// cycles and leaves the same state as the stepping driver.
     fn harness_tick_inner(&mut self, now: u64, hard: &'a mut HardenState) -> Result<(), SimError> {
-        // Apply every injection that has come due. Between passes no
-        // architectural state is read, so landing at the first pass at
-        // or after the target cycle is bit-equivalent to landing at
-        // the target cycle itself on the cycle-stepping machine.
-        while hard
+        // The earliest grid deadline not yet evaluated, if it has come
+        // due. Later deadlines in the same gap see no new issue since
+        // this one, so they could not arm and are skipped.
+        let due = hard
+            .watchdog
+            .and_then(|wd| (hard.wd_next <= now).then_some((wd, hard.wd_next)));
+        // Injections up to and including the deadline precede its
+        // check (the stepping driver ticks injections first).
+        self.apply_injections_until(hard, due.map_or(now, |(_, d)| d))?;
+
+        // Retirement-progress watchdog: armed only when instructions
+        // were issued since the previous check (pure memory stalls
+        // always resolve — modelled latencies are finite — and must
+        // not trip the heartbeat).
+        if let Some((wd, deadline)) = due {
+            let interval = wd.interval.max(1);
+            hard.wd_next = (now / interval + 1) * interval;
+            let instr = self.stats.vector_instructions;
+            if instr > hard.wd_last_instr {
+                hard.wd_last_instr = instr;
+                let fp = self.arch_fingerprint();
+                if hard.wd_fp_valid && fp == hard.wd_last_fp {
+                    hard.wd_streak += 1;
+                    if hard.wd_streak >= wd.patience.max(1) {
+                        self.hard = Some(hard);
+                        return Err(SimError::Watchdog { cycle: deadline });
+                    }
+                } else {
+                    hard.wd_streak = 0;
+                    hard.wd_last_fp = fp;
+                    hard.wd_fp_valid = true;
+                }
+            }
+            self.apply_injections_until(hard, now)?;
+        }
+        self.hard = Some(hard);
+        Ok(())
+    }
+
+    /// Applies every pending injection whose cycle is at most `until`,
+    /// logging each at its own cycle.
+    fn apply_injections_until(
+        &mut self,
+        hard: &mut HardenState,
+        until: u64,
+    ) -> Result<(), SimError> {
+        while let Some(inj) = hard
             .injections
             .get(hard.next_inj)
-            .is_some_and(|inj| inj.cycle <= now)
+            .filter(|inj| inj.cycle <= until)
         {
-            let i = hard.next_inj;
             hard.next_inj += 1;
-            let outcome =
-                Self::apply_injection(&mut self.cus, self.memory, &hard.injections[i], now)?;
+            let outcome = Self::apply_injection(&mut self.cus, self.memory, inj)?;
             hard.log.events.push(FaultEvent {
-                cycle: now,
-                label: hard.injections[i].label.clone(),
+                cycle: inj.cycle,
+                label: inj.label.clone(),
                 outcome,
             });
         }
-
-        // Retirement-progress watchdog: evaluated at the first pass at
-        // or past each deadline, armed only when instructions were
-        // issued since the previous check (pure memory stalls always
-        // resolve — modelled latencies are finite — and must not trip
-        // the heartbeat).
-        if let Some(wd) = hard.watchdog {
-            if now >= hard.wd_next {
-                hard.wd_next = now + wd.interval.max(1);
-                let instr = self.stats.vector_instructions;
-                if instr > hard.wd_last_instr {
-                    hard.wd_last_instr = instr;
-                    let fp = self.arch_fingerprint();
-                    if hard.wd_fp_valid && fp == hard.wd_last_fp {
-                        hard.wd_streak += 1;
-                        if hard.wd_streak >= wd.patience.max(1) {
-                            self.hard = Some(hard);
-                            return Err(SimError::Watchdog { cycle: now });
-                        }
-                    } else {
-                        hard.wd_streak = 0;
-                        hard.wd_last_fp = fp;
-                        hard.wd_fp_valid = true;
-                    }
-                }
-            }
-        }
-        self.hard = Some(hard);
         Ok(())
     }
 
@@ -463,7 +479,6 @@ impl<'a, W: Wave> Sched<'a, W> {
         cus: &mut [ComputeUnit<W>],
         memory: &mut GlobalMemory,
         inj: &Injection,
-        now: u64,
     ) -> Result<InjectionOutcome, SimError> {
         /// A resolved mutable view of the targeted state.
         enum Slot<'m, W: Wave> {
@@ -524,7 +539,7 @@ impl<'a, W: Wave> Sched<'a, W> {
         let total = inj.codeword_flips.max(inj.flips.len() as u32);
         let detected = || {
             SimError::UncorrectableFault(crate::fault::FaultReport {
-                cycle: now,
+                cycle: inj.cycle,
                 label: inj.label.clone(),
                 domain: inj.site.domain(),
                 flips: total,
@@ -564,8 +579,8 @@ impl<'a, W: Wave> Sched<'a, W> {
     /// Executes one scheduler pass at simulated time `now`: per CU in
     /// index order, workgroup dispatch, then (unless the issue stage
     /// is occupied) round-robin selection and issue of one vector
-    /// instruction. This is exactly one iteration of the reference
-    /// cycle loop; the event-driven driver calls it only at event
+    /// instruction. This is exactly one iteration of the
+    /// cycle-stepping loop; the event-driven driver calls it only at event
     /// times.
     fn pass(&mut self, now: u64) -> Result<PassOutcome, SimError> {
         self.stats.sched_iterations += 1;
@@ -924,8 +939,8 @@ pub(crate) fn observe_issue(
     }
 }
 
-/// The retained scalar reference engine: per-lane `Vec`s and scalar
-/// loops, byte-for-byte the pre-trait simulator semantics. The only
+/// The scalar oracle engine: per-lane `Vec`s and scalar loops,
+/// byte-for-byte the historical simulator semantics. The only
 /// behavioural-neutral change from the historical code is that the
 /// per-instruction lane list and the per-access touched-line list live
 /// in a reusable [`ScalarScratch`] instead of being allocated fresh

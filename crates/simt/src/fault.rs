@@ -12,10 +12,11 @@
 //!
 //! # Semantics
 //!
-//! * An [`Injection`] becomes effective at the first scheduler pass at
-//!   or after its `cycle`. Between passes no architectural state is
-//!   read, so this is bit-equivalent to flipping the bit at exactly
-//!   `cycle` on a cycle-stepped machine.
+//! * An [`Injection`] takes effect at its `cycle`. The event-driven
+//!   scheduler applies it at the first pass at or after that cycle;
+//!   between passes no architectural state is read, so this is
+//!   bit-equivalent to flipping the bit at exactly `cycle` on the
+//!   cycle-stepping driver, and both log the injection's own cycle.
 //! * Protection is evaluated *at injection time*: the model assumes
 //!   the corrupted word is read before it is next overwritten, which
 //!   makes detection conservative (an over-approximation of a real
@@ -211,10 +212,10 @@ impl FaultPlan {
 
 /// Retirement-progress watchdog configuration.
 ///
-/// Every `interval` cycles (evaluated at the first scheduler pass at
-/// or past the deadline) the watchdog fingerprints the architectural
-/// state — PCs, registers, masks, LRAM, dispatch position; global
-/// memory is excluded for cost. The check only *arms* when vector
+/// At every multiple of `interval` cycles (evaluated at the first
+/// scheduler pass at or past the deadline) the watchdog fingerprints
+/// the architectural state — PCs, registers, masks, LRAM, dispatch
+/// position; global memory is excluded for cost. The check only *arms* when vector
 /// instructions were issued since the previous check, so long memory
 /// stalls (which always resolve: modelled latencies are finite) can
 /// never trip it. After `patience` consecutive armed checks with an
@@ -294,7 +295,8 @@ impl fmt::Display for InjectionOutcome {
 /// One applied injection, as recorded in the [`FaultLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// Pass cycle at which the injection took effect.
+    /// The injection's planned cycle ([`Injection::cycle`]), at which
+    /// it took effect.
     pub cycle: u64,
     /// The injection's reporting label.
     pub label: String,
@@ -322,7 +324,8 @@ impl FaultLog {
 /// `DetectedUncorrectable`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
-    /// Pass cycle at which the fault was detected.
+    /// The injection's planned cycle, at which the fault was
+    /// detected.
     pub cycle: u64,
     /// Reporting label of the injection (macro path).
     pub label: String,

@@ -9,13 +9,14 @@
 //! active PC each issue — arbitrary control flow is supported and the
 //! serialization cost of divergence emerges naturally.
 
-use crate::accel::{resolve, Accelerator, LaunchRequest, ScalarAccelerator};
-use crate::config::SimtConfig;
+use crate::config::{AccelBackend, SimtConfig};
+use crate::engine::{ScalarWave, Sched};
 use crate::fault::{
     FaultLog, FaultReport, HardenedOptions, HardenedRun, Injection, WatchdogConfig,
 };
 use crate::global::GlobalMemory;
 use crate::memsys::MemStats;
+use crate::soa::SoaWave;
 use crate::trace::ExecTrace;
 use ggpu_isa::asm::{assemble, AssembleError};
 use ggpu_isa::inst::Inst;
@@ -183,7 +184,9 @@ pub enum SimError {
         limit: u64,
     },
     /// The machine configuration is structurally invalid (zero-sized
-    /// geometry that would divide by zero inside the memory system).
+    /// geometry that would divide by zero inside the memory system) or
+    /// beyond the simulator's capability limits (see
+    /// [`SimtConfig::validate`]).
     BadConfig(String),
     /// A `param` instruction named a slot outside the RTM's 8
     /// parameter words.
@@ -196,7 +199,8 @@ pub enum SimError {
     /// The retirement-progress watchdog found no architectural
     /// progress across consecutive heartbeats: livelock.
     Watchdog {
-        /// Cycle at which the watchdog fired.
+        /// The heartbeat deadline (a multiple of the watchdog
+        /// interval) whose check fired, on either driver.
         cycle: u64,
     },
     /// An injected fault was detected by parity/SEC-DED but could not
@@ -252,9 +256,9 @@ impl Error for SimError {}
 /// Equality compares only the *architectural* counters (cycles,
 /// instruction/stall/busy counts and memory statistics). The two
 /// host-side performance fields — [`RunStats::sim_wall`] and
-/// [`RunStats::sched_iterations`] — are excluded, so a run under the
-/// event-driven scheduler compares equal to the same run under the
-/// cycle-stepping reference even though the host cost differs.
+/// [`RunStats::sched_iterations`] — are excluded, so a production run
+/// on the event-driven scheduler compares equal to the same run on the
+/// cycle-stepping oracle even though the host cost differs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Total cycles until the last wavefront finished.
@@ -282,7 +286,7 @@ pub struct RunStats {
     /// Host wall-clock time spent inside the simulator for this run.
     pub sim_wall: Duration,
     /// Scheduler-loop passes the run took on the host. The
-    /// cycle-stepping reference performs one pass per simulated cycle;
+    /// cycle-stepping oracle performs one pass per simulated cycle;
     /// the event-driven scheduler performs one per *event*, so the
     /// ratio between the two is the direct measure of skipped idle
     /// cycles.
@@ -422,47 +426,27 @@ impl Gpu {
         Ok(idx)
     }
 
-    /// Runs `kernel` with the given launch geometry to completion
-    /// using the event-driven scheduler.
+    /// Runs `kernel` with the given launch geometry to completion on
+    /// the engine [`SimtConfig::backend`] selects.
     ///
-    /// Instead of stepping time one cycle at a time, the scheduler
-    /// jumps straight to the next timestamp at which any compute unit
-    /// can change state (issue-stage release, operand or memory
-    /// readiness, barrier release, workgroup dispatch), folding the
-    /// busy/stall accounting of the skipped cycles into closed-form
-    /// sums. The resulting [`RunStats`] are bit-identical to the
-    /// cycle-stepping reference ([`Gpu::launch_reference`]); only the
+    /// The production backend ([`AccelBackend::Soa`]) runs on the
+    /// event-driven scheduler: instead of stepping time one cycle at a
+    /// time, it jumps straight to the next timestamp at which any
+    /// compute unit can change state (issue-stage release, operand or
+    /// memory readiness, barrier release, workgroup dispatch), folding
+    /// the busy/stall accounting of the skipped cycles into
+    /// closed-form sums. The oracle ([`AccelBackend::Scalar`]) steps
+    /// every cycle. Their [`RunStats`] are bit-identical; only the
     /// host-side `sched_iterations` and `sim_wall` fields differ, and
     /// those are excluded from `RunStats` equality.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on invalid launches, memory faults,
-    /// control flow leaving the program, or the cycle ceiling.
+    /// Returns [`SimError`] on invalid launches or configurations,
+    /// memory faults, control flow leaving the program, or the cycle
+    /// ceiling.
     pub fn launch(&mut self, kernel: &Kernel, launch: &Launch) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, None)
-    }
-
-    /// Runs `kernel` on an explicitly chosen execution backend instead
-    /// of the one [`crate::AccelBackend`] resolution would pick.
-    ///
-    /// Every backend is architecturally bit-identical, so this exists
-    /// for validation and benchmarking (the equivalence suite and
-    /// `simt_bench` drive the scalar and SoA engines over identical
-    /// launches), not for functional selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] exactly as [`Gpu::launch`] does, plus
-    /// [`SimError::BadConfig`] when the backend rejects the machine
-    /// geometry (e.g. SoA with `wavefront_size > 64`).
-    pub fn launch_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-    ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), None)
+        self.launch_impl(kernel, launch, None, None)
     }
 
     /// Runs `kernel` while recording a concrete execution trace into
@@ -483,33 +467,17 @@ impl Gpu {
         launch: &Launch,
         trace: &mut ExecTrace,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, Some(trace))
-    }
-
-    /// [`Gpu::launch_traced`] on an explicitly chosen backend — how the
-    /// soundness property suite drives both engines over identical
-    /// launches and cross-checks their traces.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch_traced`], plus [`SimError::BadConfig`] for
-    /// geometries the backend rejects.
-    pub fn launch_traced_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-        trace: &mut ExecTrace,
-    ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), Some(trace))
+        self.launch_impl(kernel, launch, None, Some(trace))
     }
 
     /// Runs `kernel` under the fault-injection / watchdog harness.
     ///
-    /// The harness acts only at scheduler passes that already exist:
-    /// pending injections land at the first pass at or after their
-    /// cycle, and the watchdog heartbeat is evaluated at the first
-    /// pass past each deadline. With an empty
+    /// Injections land at their own cycle and watchdog heartbeats sit
+    /// on the fixed grid `k * interval`, whichever driver runs the
+    /// launch: the event-driven scheduler replays the harness work of
+    /// the skipped cycles at its next pass, so injection outcomes,
+    /// logged cycles, ECC verdicts and watchdog trips match the
+    /// cycle-stepping oracle. With an empty
     /// [`crate::fault::FaultPlan`] the run is **bit-identical** to
     /// [`Gpu::launch`] — same cycles, same [`RunStats`], same memory
     /// image — whether or not the watchdog is enabled, because a
@@ -529,65 +497,18 @@ impl Gpu {
         opts: &HardenedOptions,
     ) -> Result<HardenedRun, SimError> {
         let mut hard = HardenState::new(opts);
-        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, None)?;
+        let stats = self.launch_impl(kernel, launch, Some(&mut hard), None)?;
         Ok(HardenedRun {
             stats,
             log: hard.log,
         })
-    }
-
-    /// [`Gpu::launch_hardened`] on an explicitly chosen backend — the
-    /// fault-semantics half of the backend-equivalence contract
-    /// (injection outcomes, ECC verdicts, watchdog trips and partial
-    /// memory effects must all match across backends).
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch_hardened`], plus [`SimError::BadConfig`] for
-    /// geometries the backend rejects.
-    pub fn launch_hardened_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-        opts: &HardenedOptions,
-    ) -> Result<HardenedRun, SimError> {
-        let mut hard = HardenState::new(opts);
-        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), Some(accel), None)?;
-        Ok(HardenedRun {
-            stats,
-            log: hard.log,
-        })
-    }
-
-    /// Runs `kernel` under the cycle-stepping reference scheduler —
-    /// the plain `now += 1` loop that visits every simulated cycle.
-    ///
-    /// This is the validation oracle for [`Gpu::launch`]: both
-    /// schedulers execute the *same* per-cycle pass, so any change to
-    /// the event-driven fast path can be checked for bit-identical
-    /// architectural counters against this one. It is dramatically
-    /// slower on memory-bound or barrier-heavy kernels and exists for
-    /// verification, not for use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] exactly as [`Gpu::launch`] does.
-    pub fn launch_reference(
-        &mut self,
-        kernel: &Kernel,
-        launch: &Launch,
-    ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, true, None, Some(&ScalarAccelerator), None)
     }
 
     fn launch_impl(
         &mut self,
         kernel: &Kernel,
         launch: &Launch,
-        reference: bool,
         hard: Option<&mut HardenState>,
-        accel: Option<&dyn Accelerator>,
         trace: Option<&mut ExecTrace>,
     ) -> Result<RunStats, SimError> {
         let wall = Instant::now();
@@ -614,19 +535,21 @@ impl Gpu {
         let mut params = [0u32; PARAM_SLOTS];
         params[..launch.params.len()].copy_from_slice(&launch.params);
 
-        let accel =
-            accel.unwrap_or_else(|| resolve(self.config.backend, self.config.wavefront_size));
-        let mut stats = accel.run(LaunchRequest {
-            config: self.config,
-            program: &kernel.program,
-            params,
-            global_size: launch.global_size,
-            workgroup_size: launch.workgroup_size,
-            memory: &mut self.memory,
-            reference,
-            hard,
-            trace,
-        })?;
+        let (config, program) = (self.config, kernel.program.as_slice());
+        let sizes = (launch.global_size, launch.workgroup_size);
+        let memory = &mut self.memory;
+        // The one place a wave engine meets a driver: production SoA on
+        // the time wheel, the scalar oracle on the cycle-stepping loop.
+        let mut stats = match config.backend {
+            AccelBackend::Soa => {
+                Sched::<SoaWave>::new(config, program, params, sizes, memory, hard, trace)
+                    .run_event_driven()
+            }
+            AccelBackend::Scalar => {
+                Sched::<ScalarWave>::new(config, program, params, sizes, memory, hard, trace)
+                    .run_cycle_stepping()
+            }
+        }?;
         stats.sim_wall = wall.elapsed();
         Ok(stats)
     }
@@ -643,7 +566,7 @@ pub(crate) struct HardenState {
     pub(crate) next_inj: usize,
     /// Watchdog configuration, if enabled.
     pub(crate) watchdog: Option<WatchdogConfig>,
-    /// Next heartbeat deadline.
+    /// Next heartbeat deadline, always a multiple of the interval.
     pub(crate) wd_next: u64,
     /// Fingerprint at the previous armed check.
     pub(crate) wd_last_fp: u64,
@@ -1241,6 +1164,15 @@ mod hardened_tests {
             g.launch(&k, &Launch::new(1, 1, vec![])),
             Err(SimError::BadConfig(_))
         ));
+        // The 64-lane exec-mask limit holds on both backends.
+        for backend in [AccelBackend::Soa, AccelBackend::Scalar] {
+            let mut cfg = SimtConfig::with_cus(1).with_backend(backend);
+            cfg.wavefront_size = 65;
+            assert!(matches!(
+                Gpu::new(cfg, 1024).launch(&k, &Launch::new(1, 1, vec![])),
+                Err(SimError::BadConfig(m)) if m.contains("65")
+            ));
+        }
     }
 
     #[test]
@@ -1274,23 +1206,20 @@ mod hardened_tests {
 mod scheduler_equivalence_tests {
     use super::*;
 
-    /// Runs `src` under both schedulers on identically-initialised
-    /// machines and checks the architectural counters are
-    /// bit-identical. Returns (event, reference) stats.
+    /// Runs `src` on production (SoA, time wheel) and on the oracle
+    /// (scalar, cycle-stepping) over identically-initialised machines
+    /// and checks the architectural counters are bit-identical.
+    /// Returns (event, stepping) stats.
     fn both(src: &str, cus: u32, launch: &Launch, seed: &[u32]) -> (RunStats, RunStats) {
         let kernel = Kernel::from_asm("equiv", src).expect("valid");
-        let run = |reference: bool| {
-            let mut g = Gpu::new(SimtConfig::with_cus(cus), 1 << 16);
+        let run = |backend: AccelBackend| {
+            let mut g = Gpu::new(SimtConfig::with_cus(cus).with_backend(backend), 1 << 16);
             g.write_words(0x1000, seed).expect("in range");
-            let stats = if reference {
-                g.launch_reference(&kernel, launch).expect("runs")
-            } else {
-                g.launch(&kernel, launch).expect("runs")
-            };
+            let stats = g.launch(&kernel, launch).expect("runs");
             (stats, g.read_words(0, 1 << 14).expect("in range"))
         };
-        let (ev, ev_mem) = run(false);
-        let (re, re_mem) = run(true);
+        let (ev, ev_mem) = run(AccelBackend::Soa);
+        let (re, re_mem) = run(AccelBackend::Scalar);
         assert_eq!(ev_mem, re_mem, "schedulers must produce identical memory");
         assert_eq!(ev, re, "architectural counters must be bit-identical");
         (ev, re)
@@ -1402,8 +1331,9 @@ mod scheduler_equivalence_tests {
     fn errors_match_reference() {
         let kernel = Kernel::from_asm("oob", "lui r1, 0x7fff\nlw r2, r1, 0\nret").unwrap();
         let launch = Launch::new(1, 1, vec![]);
+        let oracle = SimtConfig::with_cus(1).with_backend(AccelBackend::Scalar);
         let ev = Gpu::new(SimtConfig::with_cus(1), 1024).launch(&kernel, &launch);
-        let re = Gpu::new(SimtConfig::with_cus(1), 1024).launch_reference(&kernel, &launch);
+        let re = Gpu::new(oracle, 1024).launch(&kernel, &launch);
         assert_eq!(ev, re);
         assert!(matches!(ev, Err(SimError::MemoryOutOfBounds { .. })));
 
@@ -1412,7 +1342,7 @@ mod scheduler_equivalence_tests {
         let spin = Kernel::from_asm("spin", "forever: jmp forever").unwrap();
         let launch = Launch::new(64, 64, vec![]);
         let ev = Gpu::new(cfg, 1024).launch(&spin, &launch);
-        let re = Gpu::new(cfg, 1024).launch_reference(&spin, &launch);
+        let re = Gpu::new(cfg.with_backend(AccelBackend::Scalar), 1024).launch(&spin, &launch);
         assert_eq!(ev, re);
         assert!(matches!(ev, Err(SimError::CycleLimit { limit: 10_000 })));
     }
@@ -1559,7 +1489,7 @@ mod barrier_tests {
 
     #[test]
     fn banked_lram_charges_conflicts_identically_on_both_backends() {
-        use crate::config::{AccelBackend, LramModel};
+        use crate::config::LramModel;
         // Stride-8 words: with 8 banks every lane of a beat lands in
         // bank 0 at a distinct word — worst-case serialization (8 PEs
         // per beat -> 7 extra beats each). Unit stride is conflict-free.

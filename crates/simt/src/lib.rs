@@ -31,7 +31,6 @@
 //! # }
 //! ```
 
-pub mod accel;
 pub mod config;
 mod engine;
 pub mod fault;
@@ -41,12 +40,14 @@ pub mod memsys;
 mod soa;
 pub mod trace;
 
-pub use accel::{Accelerator, LaunchRequest, ScalarAccelerator, SoaAccelerator};
 pub use config::{AccelBackend, CacheConfig, DramConfig, LramModel, SimtConfig};
 pub use fault::{
     FaultEvent, FaultLog, FaultPlan, FaultReport, FaultSite, HardenedOptions, HardenedRun,
     Injection, InjectionOutcome, Protection, WatchdogConfig,
 };
 pub use gpu::{Gpu, Kernel, KernelVerifyError, Launch, RunStats, SimError, LOCAL_WORDS};
+// The workspace's `GGPU_THREADS` rule, passed through for
+// `ggpu-kernels`, which reaches `ggpu-tech` only via this crate.
+pub use ggpu_lint::configured_threads;
 pub use memsys::MemStats;
 pub use trace::{ExecTrace, InstTrace};

@@ -1,5 +1,5 @@
-//! The data-oriented SIMT wave engine: the `Soa` fast path behind
-//! [`crate::Accelerator`].
+//! The data-oriented SIMT wave engine: the production
+//! [`crate::AccelBackend::Soa`] path, run on the event-driven driver.
 //!
 //! Layout and iteration strategy (vs. the scalar reference engine):
 //!

@@ -4,7 +4,8 @@
 //! address bounds (K010), alignment (K011), local-store races (K012),
 //! branch uniformity and per-access coalescing/bank-conflict cost.
 //! None of those claims are trusted here: randomized programs run on
-//! both execution backends with the trace oracle attached, and every
+//! production (SoA, time wheel) and on the oracle (scalar,
+//! cycle-stepping) with the trace oracle attached, and every
 //! abstract prediction must over-approximate what the machine actually
 //! did:
 //!
@@ -28,8 +29,7 @@ use ggpu_lint::{
 };
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
-    ExecTrace, Gpu, Kernel, Launch, LramModel, ScalarAccelerator, SimError, SimtConfig,
-    SoaAccelerator, LOCAL_WORDS,
+    AccelBackend, ExecTrace, Gpu, Kernel, Launch, LramModel, SimError, SimtConfig, LOCAL_WORDS,
 };
 
 const PARAM_SLOTS: usize = 8;
@@ -141,18 +141,16 @@ fn gen_program(rng: &mut Rng) -> Vec<Inst> {
 
 /// Runs `kernel` on one backend with the trace oracle attached.
 fn run_traced(
-    accel: &dyn ggpu_simt::Accelerator,
+    backend: AccelBackend,
     kernel: &Kernel,
     launch: &Launch,
     memory_words: usize,
     init: &[u32],
 ) -> (Result<(), SimError>, ExecTrace) {
-    let mut gpu = Gpu::new(SimtConfig::with_cus(1), memory_words);
+    let mut gpu = Gpu::new(SimtConfig::with_cus(1).with_backend(backend), memory_words);
     gpu.write_words(0, init).expect("init memory");
     let mut trace = ExecTrace::new(64, 8, 8);
-    let res = gpu
-        .launch_traced_with(accel, kernel, launch, &mut trace)
-        .map(|_| ());
+    let res = gpu.launch_traced(kernel, launch, &mut trace).map(|_| ());
     (res, trace)
 }
 
@@ -256,9 +254,9 @@ fn abstract_predictions_over_approximate_concrete_traces() {
         };
         let launch = Launch::new(gs, wgs, params.clone());
         let (res_scalar, trace_scalar) =
-            run_traced(&ScalarAccelerator, &kernel, &launch, memory_words, &init);
+            run_traced(AccelBackend::Scalar, &kernel, &launch, memory_words, &init);
         let (res_soa, trace_soa) =
-            run_traced(&SoaAccelerator, &kernel, &launch, memory_words, &init);
+            run_traced(AccelBackend::Soa, &kernel, &launch, memory_words, &init);
 
         // Backend parity extends to the observation hook: identical
         // outcomes AND identical traces.
@@ -284,21 +282,19 @@ fn abstract_predictions_over_approximate_concrete_traces() {
 /// conflict beats for the given geometry and the trace oracle judges
 /// conflict degrees against the same bank count.
 fn run_traced_banked(
-    accel: &dyn ggpu_simt::Accelerator,
+    backend: AccelBackend,
     kernel: &Kernel,
     launch: &Launch,
     memory_words: usize,
     init: &[u32],
     banks: u32,
 ) -> (Result<(), SimError>, ExecTrace) {
-    let mut config = SimtConfig::with_cus(1);
+    let mut config = SimtConfig::with_cus(1).with_backend(backend);
     config.lram = LramModel::Banked { banks };
     let mut gpu = Gpu::new(config, memory_words);
     gpu.write_words(0, init).expect("init memory");
     let mut trace = ExecTrace::new(64, banks, config.pes_per_cu);
-    let res = gpu
-        .launch_traced_with(accel, kernel, launch, &mut trace)
-        .map(|_| ());
+    let res = gpu.launch_traced(kernel, launch, &mut trace).map(|_| ());
     (res, trace)
 }
 
@@ -326,7 +322,7 @@ fn bank_conflict_bound_holds_across_geometries() {
         };
         let launch = Launch::new(gs, wgs, params.clone());
         let (res_scalar, trace_scalar) = run_traced_banked(
-            &ScalarAccelerator,
+            AccelBackend::Scalar,
             &kernel,
             &launch,
             memory_words,
@@ -334,7 +330,7 @@ fn bank_conflict_bound_holds_across_geometries() {
             banks,
         );
         let (res_soa, trace_soa) = run_traced_banked(
-            &SoaAccelerator,
+            AccelBackend::Soa,
             &kernel,
             &launch,
             memory_words,
@@ -377,7 +373,8 @@ fn strided_local_conflict_degree_is_tight() {
     .expect("assembles");
     let launch = Launch::new(8, 8, vec![]);
     for (banks, degree) in [(4u32, 4u32), (8, 2)] {
-        let (res, trace) = run_traced_banked(&ScalarAccelerator, &kernel, &launch, 64, &[], banks);
+        let (res, trace) =
+            run_traced_banked(AccelBackend::Scalar, &kernel, &launch, 64, &[], banks);
         assert_eq!(res, Ok(()));
         let t = trace.at(2).expect("store observed");
         assert_eq!(
@@ -426,7 +423,7 @@ fn concrete_global_oob_is_covered_by_k010() {
     };
     // Param 0 points one word past the end.
     let launch = Launch::new(4, 4, vec![memory_words as u32 * 4]);
-    let (res, trace) = run_traced(&ScalarAccelerator, &kernel, &launch, memory_words, &[]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, memory_words, &[]);
     assert_eq!(
         res,
         Err(SimError::MemoryOutOfBounds {
@@ -475,7 +472,7 @@ fn concrete_local_race_is_covered_by_k012() {
         program: program.clone(),
     };
     let launch = Launch::new(8, 8, vec![]);
-    let (res, trace) = run_traced(&ScalarAccelerator, &kernel, &launch, 64, &[]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, 64, &[]);
     assert_eq!(res, Ok(()));
     let t = trace.at(2).expect("store observed");
     assert!(t.racy_write, "distinct ids into one word must race");
@@ -515,7 +512,7 @@ fn concrete_unaligned_access_is_covered_by_k011() {
         program: program.clone(),
     };
     let launch = Launch::new(1, 1, vec![]);
-    let (res, trace) = run_traced(&ScalarAccelerator, &kernel, &launch, 64, &[]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, 64, &[]);
     assert_eq!(res, Err(SimError::Unaligned { addr: 2 }));
     assert!(trace.at(1).expect("load observed").any_unaligned);
 
@@ -585,7 +582,7 @@ fn branch_uniformity_claims_match_observed_divergence() {
         program: program.clone(),
     };
     let launch = Launch::new(8, 8, vec![7]);
-    let (res, trace) = run_traced(&ScalarAccelerator, &kernel, &launch, 64, &[]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, 64, &[]);
     assert_eq!(res, Ok(()));
     assert!(trace.at(2).expect("branch observed").divergent_branch);
     assert!(!trace.at(5).expect("branch observed").divergent_branch);
@@ -632,7 +629,7 @@ fn coalescing_predictions_are_tight_on_canonical_shapes() {
         program: unit.clone(),
     };
     let launch = Launch::new(64, 64, vec![]);
-    let (res, trace) = run_traced(&ScalarAccelerator, &kernel, &launch, 256, &[]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, 256, &[]);
     assert_eq!(res, Ok(()));
     let t = trace.at(2).expect("load observed");
     assert_eq!(t.max_class_rank, CoalescingClass::UnitStride.rank());

@@ -1,15 +1,16 @@
-//! Backend bit-identity: the SoA fast path must be indistinguishable
-//! from the scalar reference engine — same `RunStats`, same memory
-//! image, same typed errors, and same `launch_hardened` fault
-//! semantics (injection outcomes, ECC verdicts, watchdog trips,
+//! Production against the oracle: the SoA wave on the event-driven
+//! time wheel must be indistinguishable from the scalar wave on the
+//! cycle-stepping driver — same `RunStats`, same memory image, same
+//! typed errors, and same `launch_hardened` fault semantics (injection
+//! outcomes and their logged cycles, ECC verdicts, watchdog trips,
 //! partial memory effects) — across randomized kernels, exec-mask
 //! patterns, divergence/barrier shapes and fault plans.
 
 use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
-    FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, LramModel, Protection,
-    ScalarAccelerator, SimtConfig, SoaAccelerator, WatchdogConfig,
+    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, LramModel,
+    Protection, SimError, SimtConfig, WatchdogConfig,
 };
 
 const MEM_WORDS: usize = 4096;
@@ -23,15 +24,15 @@ fn assert_equiv(
     seed_mem: &[u32],
     opts: Option<&HardenedOptions>,
 ) {
-    let mut scalar_gpu = Gpu::new(config, MEM_WORDS);
-    let mut soa_gpu = Gpu::new(config, MEM_WORDS);
+    let mut scalar_gpu = Gpu::new(config.with_backend(AccelBackend::Scalar), MEM_WORDS);
+    let mut soa_gpu = Gpu::new(config.with_backend(AccelBackend::Soa), MEM_WORDS);
     scalar_gpu.write_words(0, seed_mem).expect("seed scalar");
     soa_gpu.write_words(0, seed_mem).expect("seed soa");
 
     match opts {
         None => {
-            let a = scalar_gpu.launch_with(&ScalarAccelerator, kernel, launch);
-            let b = soa_gpu.launch_with(&SoaAccelerator, kernel, launch);
+            let a = scalar_gpu.launch(kernel, launch);
+            let b = soa_gpu.launch(kernel, launch);
             match (a, b) {
                 (Ok(sa), Ok(sb)) => assert_eq!(sa, sb, "RunStats diverge on {}", kernel.name),
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors diverge on {}", kernel.name),
@@ -39,8 +40,8 @@ fn assert_equiv(
             }
         }
         Some(opts) => {
-            let a = scalar_gpu.launch_hardened_with(&ScalarAccelerator, kernel, launch, opts);
-            let b = soa_gpu.launch_hardened_with(&SoaAccelerator, kernel, launch, opts);
+            let a = scalar_gpu.launch_hardened(kernel, launch, opts);
+            let b = soa_gpu.launch_hardened(kernel, launch, opts);
             match (a, b) {
                 (Ok(ra), Ok(rb)) => {
                     assert_eq!(
@@ -227,15 +228,15 @@ fn banking_shifts_cycles_never_bits() {
         let launch = template_launch(rng, &ideal_config);
         let mem = seed_mem(rng);
 
-        let mut ideal_gpu = Gpu::new(ideal_config, MEM_WORDS);
-        let mut banked_gpu = Gpu::new(banked_config, MEM_WORDS);
+        let oracle = |c: SimtConfig| Gpu::new(c.with_backend(AccelBackend::Scalar), MEM_WORDS);
+        let (mut ideal_gpu, mut banked_gpu) = (oracle(ideal_config), oracle(banked_config));
         ideal_gpu.write_words(0, &mem).expect("seed ideal");
         banked_gpu.write_words(0, &mem).expect("seed banked");
         let ideal = ideal_gpu
-            .launch_with(&ScalarAccelerator, &kernel, &launch)
+            .launch(&kernel, &launch)
             .expect("template kernels complete");
         let banked = banked_gpu
-            .launch_with(&ScalarAccelerator, &kernel, &launch)
+            .launch(&kernel, &launch)
             .expect("template kernels complete");
 
         assert_eq!(ideal.lram_conflict_cycles, 0, "ideal model never stalls");
@@ -439,6 +440,97 @@ fn fault_plans_bit_identical() {
         let mem = seed_mem(rng);
         assert_equiv(&kernel, &launch, config, &mem, Some(&opts));
     });
+}
+
+/// Livelocked and slow-converging kernels under the watchdog: the trip
+/// verdict and the reported heartbeat deadline must match across
+/// drivers for any interval, including deadlines the time wheel jumps
+/// over between two passes (long memory stalls).
+#[test]
+fn watchdog_verdicts_bit_identical() {
+    cases(80, |rng| {
+        let mut config = small_config(rng);
+        // Spins the watchdog misses (a two-PC loop sampled out of
+        // phase) run to this ceiling on the stepping driver.
+        config.max_cycles = 20_000;
+        let src = match rng.u32_in(0, 2) {
+            // Pure spin: a pass every few cycles.
+            0 => "spin: jmp spin",
+            // Spin on a strided load: DRAM-latency gaps between passes.
+            1 => {
+                "gid  r1
+                  slli r1, r1, 4
+                  spin:
+                  lw   r2, r1, 0
+                  jmp  spin"
+            }
+            // Converges after a param-driven trip count of loads.
+            _ => {
+                "gid  r1
+                  slli r1, r1, 4
+                  param r3, 2
+                  loop:
+                  lw   r2, r1, 0
+                  addi r3, r3, -1
+                  bne  r3, r0, loop
+                  ret"
+            }
+        };
+        let kernel = Kernel::from_asm("wd", src).expect("assembles");
+        let launch = template_launch(rng, &config);
+        let opts = HardenedOptions {
+            plan: if rng.chance(0.5) {
+                random_plan(rng, &config)
+            } else {
+                FaultPlan::default()
+            },
+            watchdog: Some(WatchdogConfig {
+                interval: rng.u64_in(8, 700),
+                patience: rng.u32_in(1, 3),
+            }),
+        };
+        let mem = seed_mem(rng);
+        assert_equiv(&kernel, &launch, config, &mem, Some(&opts));
+    });
+}
+
+/// Harness work at the edges of the time wheel's jumps: an injection
+/// due just after a tripping watchdog deadline must not land before
+/// that deadline's check, and one due in the span the wheel skips
+/// before the cycle ceiling must still land.
+#[test]
+fn harness_edges_match_the_stepping_driver() {
+    let spin = Kernel::from_asm("spin", "spin: jmp spin").expect("assembles");
+    let launch = Launch::new(64, 64, vec![]);
+    let mut config = SimtConfig::with_cus(1);
+    config.max_cycles = 5_000;
+    let upset = |cycle, protection| {
+        Injection::single(cycle, FaultSite::GlobalWord { word: 7 }, 3, protection)
+    };
+    for interval in [64, 100, 257] {
+        // First armed check at `interval`, then `patience` repeats of
+        // the same fingerprint.
+        let trip = 3 * interval;
+        for offset in 1..=8 {
+            let opts = HardenedOptions {
+                plan: FaultPlan::new(vec![upset(trip + offset, Protection::Parity)]),
+                watchdog: Some(WatchdogConfig {
+                    interval,
+                    patience: 2,
+                }),
+            };
+            assert_equiv(&spin, &launch, config, &[], Some(&opts));
+            let run = Gpu::new(config, MEM_WORDS).launch_hardened(&spin, &launch, &opts);
+            assert_eq!(run.err(), Some(SimError::Watchdog { cycle: trip }));
+        }
+    }
+    for offset in 0..=8 {
+        let opts = HardenedOptions {
+            plan: FaultPlan::new(vec![upset(config.max_cycles - offset, Protection::None)]),
+            watchdog: None,
+        };
+        assert_equiv(&spin, &launch, config, &[], Some(&opts));
+    }
 }
 
 /// Exec-mask upsets that *reactivate* never-populated lanes: the

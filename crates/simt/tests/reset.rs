@@ -2,11 +2,12 @@
 //! that write far, computed addresses through every store path, runs
 //! that fault part-way, and hardened runs with global-memory upsets,
 //! the whole memory image is zero again and the next launch is
-//! bit-identical to one on `Gpu::new` — on both backends.
+//! bit-identical to one on `Gpu::new` — on production (SoA, time
+//! wheel) and on the oracle (scalar, cycle-stepping).
 
 use ggpu_simt::{
-    Accelerator, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, Protection,
-    ScalarAccelerator, SimError, SimtConfig, SoaAccelerator, WatchdogConfig,
+    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch,
+    Protection, SimError, SimtConfig, WatchdogConfig,
 };
 
 /// 4 MiB, the campaign's memory image.
@@ -84,7 +85,6 @@ fn upsets() -> HardenedOptions {
 
 #[test]
 fn reset_restores_a_fresh_machine_on_both_backends() {
-    let config = SimtConfig::with_cus(2);
     let (copy, scatter, broadcast) = (
         kernel("copy", COPY),
         kernel("scatter", SCATTER),
@@ -92,23 +92,23 @@ fn reset_restores_a_fresh_machine_on_both_backends() {
     );
     let copy_launch = Launch::new(N, N, vec![N, A, 0, OUT]);
     let far = 0x20_0004; // 2 MiB + 4: 64 lanes x 16 KiB stay in range
-    let backends: [&dyn Accelerator; 2] = [&ScalarAccelerator, &SoaAccelerator];
-    for accel in backends {
-        let name = accel.name();
+    for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
+        let name = format!("{backend:?}");
+        let config = SimtConfig::with_cus(2).with_backend(backend);
         let mut gpu = Gpu::new(config, WORDS);
         stage(&mut gpu);
         let run = gpu
-            .launch_hardened_with(accel, &copy, &copy_launch, &upsets())
+            .launch_hardened(&copy, &copy_launch, &upsets())
             .expect("hardened copy");
         assert_eq!(run.log.events.len(), 3, "{name}");
-        gpu.launch_with(accel, &scatter, &Launch::new(N, N, vec![far]))
+        gpu.launch(&scatter, &Launch::new(N, N, vec![far]))
             .expect("scatter");
-        gpu.launch_with(accel, &broadcast, &Launch::new(N, N, vec![0x3F_FF00]))
+        gpu.launch(&broadcast, &Launch::new(N, N, vec![0x3F_FF00]))
             .expect("broadcast");
         // High lanes run off the end after the low lanes have stored.
         let off_end = Launch::new(N, N, vec![(WORDS as u32 - 8 * 4096) * 4]);
         assert!(matches!(
-            gpu.launch_with(accel, &scatter, &off_end),
+            gpu.launch(&scatter, &off_end),
             Err(SimError::MemoryOutOfBounds { .. })
         ));
         let before = image(&gpu);
@@ -127,12 +127,12 @@ fn reset_restores_a_fresh_machine_on_both_backends() {
         }
         let next = Launch::new(N, N, vec![far + 8]);
         let reused = (
-            gpu.launch_with(accel, &copy, &copy_launch).expect("copy"),
-            gpu.launch_with(accel, &scatter, &next).expect("scatter"),
+            gpu.launch(&copy, &copy_launch).expect("copy"),
+            gpu.launch(&scatter, &next).expect("scatter"),
         );
         let baseline = (
-            fresh.launch_with(accel, &copy, &copy_launch).expect("copy"),
-            fresh.launch_with(accel, &scatter, &next).expect("scatter"),
+            fresh.launch(&copy, &copy_launch).expect("copy"),
+            fresh.launch(&scatter, &next).expect("scatter"),
         );
         assert_eq!(reused, baseline, "{name}: RunStats");
         assert!(image(&gpu) == image(&fresh), "{name}: memory image");

@@ -35,6 +35,18 @@ pub mod wireload;
 
 pub use corner::Corner;
 
+/// Worker-thread count for the workspace's parallel fan-outs (kernel
+/// suites, fault campaigns, DSE sweeps): `GGPU_THREADS` if set to a
+/// positive integer, otherwise the host parallelism. Callers clamp it
+/// to their job count.
+pub fn configured_threads() -> usize {
+    std::env::var("GGPU_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 use metal::MetalStack;
 use sram::MemoryCompiler;
 use stdcell::StdCellLibrary;

@@ -57,13 +57,15 @@ if ! diff <(strip_wall BENCH_fault.json) <(strip_wall target/BENCH_fault_check.j
     exit 1
 fi
 
-echo "== smoke (SIMT backend agreement + throughput) =="
-# Runs every shipped kernel on both execution backends (scalar
-# reference and SoA fast path) and *asserts* their RunStats are
-# bit-identical before reporting host throughput — this is the CI
-# gate for the data-oriented engine. Tracked baseline is the
-# checked-in BENCH_simt.json from the full (non-smoke) run.
-cargo run --release -p ggpu-bench --bin simt_bench -- --smoke --out target/BENCH_simt_smoke.json
+echo "== property suite (simulator: production vs oracle, release) =="
+# The SoA wave on the event-driven time wheel (production) against the
+# scalar wave on the cycle-stepping driver (the oracle): randomized
+# kernels, fault plans and watchdog runs, then every shipped kernel at
+# 1/2/4 CUs. RunStats, memory images, typed errors and fault logs must
+# be bit-identical. (The debug-mode run is part of the workspace tests
+# above.)
+cargo test --release -q -p ggpu-simt --test prop_backend_equiv
+cargo test --release -q -p ggpu-kernels --test scheduler_equivalence
 
 echo "== smoke (memory geometry: conflict profile + banking co-opt) =="
 # Profiles every shipped kernel under ideal vs banked LRAM models
